@@ -13,7 +13,6 @@ target.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -369,6 +368,8 @@ class Schedule:
 
     def gap_ok(self, c: int, e: int, horizon: int) -> bool:
         """Check t_{l+1} - t_l >= c * l**e over every interval below `horizon`."""
+        if c <= 0:
+            return True  # switch times strictly increase, so every gap is positive
         l = 1
         while self.time_at(l) < horizon:
             if not self.has_interval(l + 1):
@@ -387,7 +388,7 @@ class SmoothedKernelFamily:
 
     Applies only when the target's support is disconnected inside a single
     component; the state space is restricted to that component before any
-    kernel is built. The cache lock makes concurrent simulators safe.
+    kernel is built.
     """
 
     def __init__(self, mu: Distribution, g: Graph, schedule: Schedule):
@@ -414,15 +415,13 @@ class SmoothedKernelFamily:
             self.mu = mu
         self.schedule = schedule
         self._cache: dict[int, TransitionKernel] = {}
-        self._lock = threading.Lock()
 
     def kernel_for_level(self, k: int) -> TransitionKernel:
-        with self._lock:
-            kernel = self._cache.get(k)
-            if kernel is None:
-                kernel = build_kernel(smooth(self.mu, k).smoothed, self.graph)
-                self._cache[k] = kernel
-            return kernel
+        kernel = self._cache.get(k)
+        if kernel is None:
+            kernel = build_kernel(smooth(self.mu, k).smoothed, self.graph)
+            self._cache[k] = kernel
+        return kernel
 
     def kernel_for_interval(self, l: int) -> TransitionKernel:
         return self.kernel_for_level(self.schedule.smoothing_index(l))
@@ -430,10 +429,3 @@ class SmoothedKernelFamily:
     def kernel_at(self, t: int) -> TransitionKernel:
         return self.kernel_for_interval(self.schedule.interval_index(t))
 
-
-def nonhomogeneous_kernel(
-    t: int, schedule: Schedule, mu: Distribution, g: Graph
-) -> TransitionKernel:
-    """The kernel driving the schedule's chain at step `t` (uncached helper;
-    long simulations should hold a SmoothedKernelFamily)."""
-    return SmoothedKernelFamily(mu, g, schedule).kernel_at(t)

@@ -5,27 +5,22 @@ are flat JSON/CSV meant to be diffed. Exit codes: 0 success, 1 a completed
 check failed, 2 input or usage error, 3 the target's support spans several
 graph components (no consistent chain exists), 4 the game graph is not a
 product of per-coalition factors, 5 the mixed-equilibrium solver did not
-converge. GRAPHGAME_THREADS caps the worker count for replica grids
-(default 1, sequential).
+converge.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
 from .chains import (
-    CaseLabel,
     Schedule,
     SupportSplitError,
     build_kernel,
-    classify_case,
     dobrushin,
     smooth,
     stationary_distribution,
@@ -37,7 +32,6 @@ from .mixed import (
     NoConvergenceError,
     compute_mixed_equilibrium,
     expected_payoff,
-    total_variation,
 )
 from .repeated import (
     RefereeInit,
@@ -48,8 +42,7 @@ from .repeated import (
     simulate_repeated,
     stock_deviation_policies,
 )
-from .simulate import ComponentSpec, ProductChainSpec, run_product
-from .mixed import Distribution
+from .simulate import ComponentSpec, ProductChainSpec, Realization, run_product
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,25 +83,6 @@ def parse_schedule(text: str, n_states: int) -> Schedule:
     )
 
 
-def worker_count(tasks: int) -> int:
-    raw = os.environ.get("GRAPHGAME_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(cap, tasks))
-
-
-def _parallel_map(fn, items):
-    workers = worker_count(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,21 +97,22 @@ def _replica_seeds(seed: int, count: int) -> list[int]:
 def cmd_analyze(args) -> int:
     game = formats.load_game(args.game)
     out = _out_dir(args)
-    equilibria = sorted(game.label_of(p) for p in pure_c_equilibria(game))
+    equilibria = pure_c_equilibria(game)
     violations = {}
     for prof in game.profiles():
-        witness = violation_witness(game, prof)
-        if witness is not None:
-            h, other, gain = witness
-            violations[game.label_of(prof)] = {
-                "coalition": formats.coalition_name(h),
-                "adjacent_profile": game.label_of(other),
-                "gain": gain,
-            }
+        if prof in equilibria:
+            continue
+        h, other, gain = violation_witness(game, prof)
+        violations[game.label_of(prof)] = {
+            "coalition": formats.coalition_name(h),
+            "adjacent_profile": game.label_of(other),
+            "gain": gain,
+        }
+    labels = sorted(game.label_of(p) for p in equilibria)
     formats.dump_json(
-        {"equilibria": equilibria, "violations": violations}, out / "equilibria.json"
+        {"equilibria": labels, "violations": violations}, out / "equilibria.json"
     )
-    print(f"{len(equilibria)} pure equilibria -> {out / 'equilibria.json'}")
+    print(f"{len(labels)} pure equilibria -> {out / 'equilibria.json'}")
     return EXIT_OK
 
 
@@ -189,15 +164,8 @@ def cmd_mcmc_run(args) -> int:
     g = formats.load_graph(args.graph)
     target = formats.load_target(args.target, g)
     out = _out_dir(args)
-    case = classify_case(g, target)
-    if case is CaseLabel.SUPPORT_SPLIT:
-        raise SupportSplitError(
-            "target support spans several graph components; no consistent "
-            "chain can realize this target"
-        )
-    schedule = None
-    if case is CaseLabel.SUPPORT_IN_COMPONENT:
-        schedule = parse_schedule(args.schedule, g.n)
+    realization = Realization(target, g, lambda: parse_schedule(args.schedule, g.n))
+    schedule = realization.schedule
     # single chain: the product-run minimum-gap requirement does not apply,
     # and the counterexample schedule exists precisely to violate it
     spec = ProductChainSpec(
@@ -216,31 +184,12 @@ def cmd_mcmc_run(args) -> int:
         emp = trace.prefix_counts(t) / t
         series.append((t, float(np.abs(emp - target.masses).sum() / 2)))
     formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
-
-    if case is CaseLabel.POINT_MASS:
-        atom = target.support()[0]
-        kernel = build_kernel(
-            Distribution(np.array([1.0])),
-            type(g)([g.labels[atom]], []),
-        )
-    elif case is CaseLabel.SUPPORT_CONNECTED:
-        from .graphs import induced_subgraph
-
-        support = [g.labels[i] for i in target.support()]
-        sub = induced_subgraph(g, support)
-        keep = [g.index(lab) for lab in sub.labels]
-        kernel = build_kernel(Distribution(target.masses[keep]), sub)
-    else:
-        from .chains import SmoothedKernelFamily
-
-        family = SmoothedKernelFamily(target, g, schedule)
-        last_transition = max(args.steps - 2, schedule.first_time)
-        kernel = family.kernel_at(last_transition)
-    formats.dump_kernel_csv(kernel, out / "kernel.csv")
+    # the kernel driving the last transition
+    formats.dump_kernel_csv(realization.kernel_at(args.steps - 2), out / "kernel.csv")
 
     tv_final = series[-1][1]
     summary = {
-        "case": case.value,
+        "case": realization.case.value,
         "steps": args.steps,
         "seed": args.seed,
         "schedule": schedule.label if schedule is not None else None,
@@ -256,7 +205,7 @@ def cmd_mcmc_run(args) -> int:
         }
     formats.dump_json(summary, out / "summary.json")
     print(
-        f"{case.value}: tv_final={tv_final:.4f} "
+        f"{realization.case.value}: tv_final={tv_final:.4f} "
         f"({'converged' if summary['converged'] else 'NOT converged'}) -> {out}"
     )
     return EXIT_OK
@@ -296,7 +245,7 @@ def cmd_repeated(args) -> int:
     out = _out_dir(args)
     config, mixed = _equilibrium_config(game, args.t_eval)
     seeds = _replica_seeds(args.seed, args.replicas)
-    runs = _parallel_map(lambda s: simulate_repeated(config, s), seeds)
+    runs = [simulate_repeated(config, s) for s in seeds]
     per_coalition = {}
     for h in range(game.r):
         finals = np.array([report.per_coalition[h].final_average for _, report in runs])
@@ -347,10 +296,8 @@ def cmd_folk_check(args) -> int:
         for policy in stock_deviation_policies(game, config.decomposition, h):
             cells.append((h, policy))
     cell_seeds = _replica_seeds(grid_seed, len(cells))
-
-    def run_cell(item):
-        (h, policy), cell_seed = item
-        return deviation_test(
+    reports = [
+        deviation_test(
             config,
             coalition=h,
             deviation=policy,
@@ -358,8 +305,8 @@ def cmd_folk_check(args) -> int:
             replicas=args.replicas,
             seed=cell_seed,
         )
-
-    reports = _parallel_map(run_cell, list(zip(cells, cell_seeds)))
+        for (h, policy), cell_seed in zip(cells, cell_seeds)
+    ]
     deviations = [
         {
             "coalition": formats.coalition_name(r.coalition),

@@ -193,18 +193,7 @@ def substitute(s: Profile, t: Profile, coalitions: Iterable[int], game: GGame) -
 def is_pure_c_equilibrium(game: GGame, sbar: Profile) -> bool:
     """True iff no coalition gains by adopting its block from any profile
     adjacent to `sbar` in the game graph."""
-    game.validate_profile(sbar)
-    base = [game.payoff(h, sbar) for h in range(game.r)]
-    node = game.node_of(sbar)
-    for nb in game.graph.neighbors(node):
-        other = game.profile_of_node(nb)
-        for h in range(game.r):
-            if other[h] == sbar[h]:
-                continue
-            cand = sbar[:h] + (other[h],) + sbar[h + 1 :]
-            if game.payoff(h, cand) > base[h]:
-                return False
-    return True
+    return violation_witness(game, sbar) is None
 
 
 def violation_witness(

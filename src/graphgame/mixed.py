@@ -224,10 +224,8 @@ def _equalizing_mixture(mat: np.ndarray, size: int) -> np.ndarray | None:
     system[rows, :size] = 1.0
     rhs = np.zeros(rows + 1)
     rhs[rows] = 1.0
-    sol, residual, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    if rank < min(system.shape):
-        # underdetermined solutions are fine; lstsq picks the minimum norm one
-        pass
+    # underdetermined systems are fine; lstsq picks the minimum-norm solution
+    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
     if not np.allclose(system @ sol, rhs, atol=1e-9):
         return None
     x = sol[:size]

@@ -11,28 +11,20 @@ the mixed profile they target, which is what the deviation harness probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import (
-    CaseLabel,
-    Schedule,
-    SmoothedKernelFamily,
-    SupportSplitError,
-    TransitionKernel,
-    build_kernel,
-    classify_case,
-)
+from .chains import Schedule, SupportSplitError
 from .games import GGame, Profile, is_pure_c_equilibrium
 from .graphs import (
     Decomposition,
     Graph,
     NotDecomposableError,
     factorize,
-    induced_subgraph,
     strong_product,
 )
 from .mixed import (
@@ -42,11 +34,12 @@ from .mixed import (
     payoff_vector,
 )
 from .simulate import (
+    Realization,
     Trace,
+    TransitionTable,
     UniformStream,
     component_streams,
     cumulative_row,
-    cumulative_rows,
     draw_index,
 )
 
@@ -84,15 +77,14 @@ class RefereeInit:
             raise ValueError("provide exactly one of profile or distributions")
 
 
-def _next_hop_table(g: Graph, targets: set[int]) -> list[int | None]:
-    """For each node, the deterministic neighbor one step closer to the
-    target set (itself when already inside; None when unreachable)."""
+def _next_hop_table(g: Graph, targets: Sequence[int]) -> list[int | None]:
+    """For each node outside the target set, the deterministic neighbor one
+    step closer to it (None inside the set and when unreachable)."""
     dist = [None] * g.n
     frontier = sorted(targets)
     hop: list[int | None] = [None] * g.n
     for i in frontier:
         dist[i] = 0
-        hop[i] = i
     while frontier:
         nxt = []
         for node in frontier:
@@ -125,93 +117,122 @@ class Policy:
         raise NotImplementedError
 
 
-class ConstantPolicy(Policy):
+class TablePolicy(Policy):
+    """A Markov policy as a transition table: a random mapping f(state, u).
+
+    `hop[s]` is the successor of a state that moves without a draw (a
+    bridging hop toward the chain's states, or a greedy reply), or None for
+    a state that `chain` moves: a Realization (a constant is a point-mass
+    one) or a TransitionTable, whose states never lead back to a hop state.
+    A table policy sees only its own state and stream, so the engine
+    computes its whole path at once.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        hop: Sequence[int | None],
+        chain: Realization | TransitionTable | None = None,
+    ):
+        self.name = name
+        self.hop = list(hop)
+        self.chain = chain
+        self.case = chain.case if isinstance(chain, Realization) else None
+
+    def _path(self, start: int, stages: int, stream: UniformStream) -> np.ndarray:
+        out = np.empty(stages, dtype=np.int64)
+        out[0] = node = start
+        t = 0
+        while t + 1 < stages:
+            nxt = self.hop[node]
+            if nxt is None:
+                break
+            if nxt == node:
+                out[t + 1 :] = node
+                return out
+            t += 1
+            out[t] = node = nxt
+        else:
+            return out
+        if self.chain is None or node not in self.chain:
+            raise RepeatedError(
+                f"{self.name}: the policy's states are unreachable from strategy {node}"
+            )
+        self.chain.run(node, stages - t, stream, out[t:], t0=t)
+        return out
+
+
+class ConstantPolicy(TablePolicy):
     """Hold one strategy; walks a shortest path there first if started
     elsewhere."""
 
     def __init__(self, graph: Graph, atom: int, name: str | None = None):
-        self.atom = atom
-        self._hop = _next_hop_table(graph, {atom})
-        self.name = name or f"constant[{graph.labels[atom]}]"
-
-    def step(self, t, own_history, stream, joint_history=None):
-        cur = own_history[-1]
-        hop = self._hop[cur]
-        if hop is None:
-            raise RepeatedError("target strategy unreachable from the current one")
-        return hop
+        realization = Realization(Distribution.dirac(graph.n, atom), graph)
+        hop = _next_hop_table(graph, realization.nodes)
+        super().__init__(name or f"constant[{graph.labels[atom]}]", hop, realization)
 
 
-class StationaryKernelPolicy(Policy):
-    """Walk a fixed kernel defined on a subset of the factor's nodes,
-    bridging toward that subset when started outside it."""
-
-    name = "stationary-kernel"
-
-    def __init__(self, graph: Graph, kernel: TransitionKernel):
-        self.kernel = kernel
-        self._cumrows = cumulative_rows(kernel.matrix)
-        self._node_of_pos = [graph.index(lab) for lab in kernel.state_labels]
-        self._pos_of_node: dict[int, int] = {
-            node: pos for pos, node in enumerate(self._node_of_pos)
-        }
-        self._hop = _next_hop_table(graph, set(self._node_of_pos))
-
-    def step(self, t, own_history, stream, joint_history=None):
-        cur = own_history[-1]
-        pos = self._pos_of_node.get(cur)
-        if pos is None:
-            hop = self._hop[cur]
-            if hop is None:
-                raise RepeatedError("kernel states unreachable from the current one")
-            return hop
-        nxt = draw_index(self._cumrows[pos], stream.next())
-        return self._node_of_pos[nxt]
+def _cut_points(d: int, index: Callable[[float], int], low: float) -> list[float]:
+    """The least floats u at which a nondecreasing index(u) on [low, 1)
+    reaches k, for k = 1..d-1, closed by 1.0: bisecting a uniform into
+    these cuts reproduces index(u) exactly."""
+    cuts = []
+    for k in range(1, d):
+        u = low + (1.0 - low) * k / d
+        while index(u) >= k:
+            u = math.nextafter(u, 0.0)
+        while index(u) < k:
+            u = math.nextafter(u, 1.0)
+        cuts.append(u)
+    return cuts + [1.0]
 
 
-class ScheduledKernelPolicy(Policy):
-    """Walk the smoothing-schedule kernels of one target on one factor."""
+class LazyRandomWalkPolicy(TablePolicy):
+    """Stay with probability 1/2, else move to a uniform strict neighbor."""
 
-    name = "scheduled-kernel"
+    def __init__(self, graph: Graph):
+        cum, succ = [], []
+        for i in range(graph.n):
+            nbrs = sorted(graph.neighbors(i))
+            d = len(nbrs)
+            hold = [0.5] if d else []  # u < 1/2 stays put
+            cum.append(hold + _cut_points(d, lambda u: min(int((u - 0.5) * 2 * d), d - 1), 0.5))
+            succ.append([i, *nbrs])
+        super().__init__("lazy-walk", [None] * graph.n, TransitionTable(cum, succ))
 
-    def __init__(self, factor: Graph, family: SmoothedKernelFamily):
-        self.family = family
-        self.factor = factor
-        self._factor_of_local = [factor.index(lab) for lab in family.graph.labels]
-        self._local_of_factor: dict[int, int] = {
-            node: local for local, node in enumerate(self._factor_of_local)
-        }
-        self._hop = _next_hop_table(factor, set(self._factor_of_local))
-        self._tables: dict[int, tuple[list[list[float]], dict[int, int], list[int]]] = {}
 
-    def _level_tables(self, level: int):
-        cached = self._tables.get(level)
-        if cached is None:
-            kernel = self.family.kernel_for_level(level)
-            local_of_pos = [
-                self.family.graph.index(lab) for lab in kernel.state_labels
-            ]
-            pos_of_local = {local: pos for pos, local in enumerate(local_of_pos)}
-            cached = (cumulative_rows(kernel.matrix), pos_of_local, local_of_pos)
-            self._tables[level] = cached
-        return cached
+class RandomWalkPolicy(TablePolicy):
+    """Uniform draw over the closed neighborhood (self plus neighbors)."""
 
-    def step(self, t, own_history, stream, joint_history=None):
-        cur = own_history[-1]
-        local = self._local_of_factor.get(cur)
-        if local is None:
-            hop = self._hop[cur]
-            if hop is None:
-                raise RepeatedError("chain component unreachable from the current one")
-            return hop
-        transition_time = t - 1
-        schedule = self.family.schedule
-        if transition_time < schedule.first_time:
-            return cur
-        level = schedule.smoothing_index(schedule.interval_index(transition_time))
-        cumrows, pos_of_local, local_of_pos = self._level_tables(level)
-        pos = draw_index(cumrows[pos_of_local[local]], stream.next())
-        return self._factor_of_local[local_of_pos[pos]]
+    def __init__(self, graph: Graph):
+        cum, succ = [], []
+        for i in range(graph.n):
+            options = sorted(set(graph.neighbors(i)) | {i})
+            d = len(options)
+            cum.append(_cut_points(d, lambda u: min(int(u * d), d - 1), 0.0))
+            succ.append(options)
+        super().__init__("walk", [None] * graph.n, TransitionTable(cum, succ))
+
+
+class MyopicGreedyPolicy(TablePolicy):
+    """Best reply among adjacent strategies against a uniform belief on the
+    other coalitions, as if every round were the last; ties break low."""
+
+    def __init__(self, graph: Graph, weights: np.ndarray):
+        weights = np.asarray(weights, dtype=float)
+        hop = []
+        for i in range(graph.n):
+            best, best_value = i, -np.inf
+            for cand in sorted(set(graph.neighbors(i)) | {i}):
+                if weights[cand] > best_value:
+                    best, best_value = cand, weights[cand]
+            hop.append(best)
+        super().__init__("myopic-greedy", hop)
+
+    @classmethod
+    def for_coalition(cls, game: GGame, decomposition: Decomposition, coalition: int):
+        weights = payoff_vector(game, MixedProfile.uniform(game), coalition)
+        return cls(decomposition.factors[coalition], weights)
 
 
 class ScriptedPolicy(Policy):
@@ -237,70 +258,6 @@ class CustomPolicy(Policy):
 
     def step(self, t, own_history, stream, joint_history=None):
         return int(self._fn(t, own_history, stream, joint_history))
-
-
-class LazyRandomWalkPolicy(Policy):
-    """Stay with probability 1/2, else move to a uniform strict neighbor."""
-
-    name = "lazy-walk"
-
-    def __init__(self, graph: Graph):
-        self._neighbors = [sorted(graph.neighbors(i)) for i in range(graph.n)]
-
-    def step(self, t, own_history, stream, joint_history=None):
-        cur = own_history[-1]
-        nbrs = self._neighbors[cur]
-        u = stream.next()
-        if u < 0.5 or not nbrs:
-            return cur
-        idx = min(int((u - 0.5) * 2 * len(nbrs)), len(nbrs) - 1)
-        return nbrs[idx]
-
-
-class RandomWalkPolicy(Policy):
-    """Uniform draw over the closed neighborhood (self plus neighbors)."""
-
-    name = "walk"
-
-    def __init__(self, graph: Graph):
-        self._closed = [
-            sorted(set(graph.neighbors(i)) | {i}) for i in range(graph.n)
-        ]
-
-    def step(self, t, own_history, stream, joint_history=None):
-        cur = own_history[-1]
-        options = self._closed[cur]
-        idx = min(int(stream.next() * len(options)), len(options) - 1)
-        return options[idx]
-
-
-class MyopicGreedyPolicy(Policy):
-    """Best reply among adjacent strategies against a uniform belief on the
-    other coalitions, as if every round were the last; ties break low."""
-
-    name = "myopic-greedy"
-
-    def __init__(self, graph: Graph, weights: np.ndarray):
-        self._weights = np.asarray(weights, dtype=float)
-        self._closed = [
-            sorted(set(graph.neighbors(i)) | {i}) for i in range(graph.n)
-        ]
-
-    @classmethod
-    def for_coalition(cls, game: GGame, decomposition: Decomposition, coalition: int):
-        weights = payoff_vector(game, MixedProfile.uniform(game), coalition)
-        return cls(decomposition.factors[coalition], weights)
-
-    def step(self, t, own_history, stream, joint_history=None):
-        cur = own_history[-1]
-        best = cur
-        best_value = -np.inf
-        for cand in self._closed[cur]:
-            value = self._weights[cand]
-            if value > best_value:
-                best = cand
-                best_value = value
-        return best
 
 
 def decompose_game(game: GGame) -> Decomposition:
@@ -385,6 +342,21 @@ def _check_move(factor: Graph, h: int, prev: int, nxt: int, t: int) -> None:
         )
 
 
+def _table_path(
+    factor: Graph, h: int, policy: TablePolicy, start: int, stream: UniformStream, stages: int
+) -> np.ndarray:
+    """A table policy's whole path, checked against the factor's edges at once."""
+    path = policy._path(start, stages, stream)
+    adjacent = np.eye(factor.n, dtype=bool)
+    for i, j in factor.edge_indices:
+        adjacent[i, j] = adjacent[j, i] = True
+    bad = np.flatnonzero(~adjacent[path[:-1], path[1:]])
+    if bad.size:
+        t = int(bad[0]) + 1
+        _check_move(factor, h, int(path[t - 1]), int(path[t]), t)
+    return path
+
+
 def _simulate_component(
     config: RepeatedConfig,
     h: int,
@@ -394,7 +366,10 @@ def _simulate_component(
 ) -> np.ndarray:
     """Run one coalition alone; valid only under minimal information."""
     factor = config.decomposition.factors[h]
-    history = [_initial_strategy(config, h, stream)]
+    start = _initial_strategy(config, h, stream)
+    if isinstance(policy, TablePolicy):
+        return _table_path(factor, h, policy, start, stream, stages)
+    history = [start]
     step = policy.step
     for t in range(1, stages):
         nxt = step(t, history, stream)
@@ -406,15 +381,26 @@ def _simulate_component(
 def _simulate_lockstep(
     config: RepeatedConfig, streams: list[UniformStream], stages: int
 ) -> list[np.ndarray]:
+    """Maximal information: every step policy sees the joint history. Table
+    policies observe no other coalition and draw only from their own stream,
+    so their paths are computed up front and replayed stage by stage."""
     factors = config.decomposition.factors
     histories: list[list[int]] = [
         [_initial_strategy(config, h, streams[h])] for h in range(config.game.r)
     ]
+    paths = [
+        _table_path(factors[h], h, policy, histories[h][0], streams[h], stages).tolist()
+        if isinstance(policy, TablePolicy)
+        else None
+        for h, policy in enumerate(config.policies)
+    ]
     for t in range(1, stages):
         for h, policy in enumerate(config.policies):
-            joint = histories if config.info is InfoModel.MAXIMAL else None
-            nxt = policy.step(t, histories[h], streams[h], joint_history=joint)
-            _check_move(factors[h], h, histories[h][-1], nxt, t)
+            if paths[h] is not None:
+                nxt = paths[h][t]
+            else:
+                nxt = policy.step(t, histories[h], streams[h], joint_history=histories)
+                _check_move(factors[h], h, histories[h][-1], nxt, t)
             histories[h].append(nxt)
     return [np.asarray(hist, dtype=np.int64) for hist in histories]
 
@@ -459,12 +445,10 @@ def repeated_payoff(
     if horizon is not None:
         if horizon < 1 or horizon > trace.length:
             raise ValueError("horizon exceeds the trace length")
-        stage = _stage_payoffs(game, [s[:horizon] for s in factor_states], coalition)
-        labels = tuple(GGame.joint_labels(game.spaces))
         # exact identity with the count-weighted ergodic average
         counts = np.bincount(
             np.ravel_multi_index([s[:horizon] for s in factor_states], game.dims),
-            minlength=len(labels),
+            minlength=int(np.prod(game.dims)),
         )
         pay = game.payoffs[coalition].reshape(-1)
         total = 0.0
@@ -530,35 +514,22 @@ def equilibrium_policies(
     """One chain policy per coalition whose empirical law realizes its part
     of a certified mixed equilibrium on its factor graph.
 
-    Point masses become constant policies; connected supports get a fixed
-    kernel on the support; disconnected supports inside one factor component
-    get the smoothing schedule (default power-gap)."""
+    Each part is realized by a `Realization` on its factor, named by its
+    case: point masses hold, connected supports walk a fixed kernel on the
+    support, and disconnected supports inside one factor component follow
+    the smoothing schedule (default power-gap). A policy started off its
+    chain's states bridges to them by a shortest path."""
     if not is_mixed_c_equilibrium(game, mixed, tol=1e-6):
         raise ValueError("profile is not a certified mixed equilibrium")
+    factory = schedule_factory if schedule_factory is not None else Schedule.power_gap
     policies: list[Policy] = []
-    for h in range(game.r):
-        factor = decomposition.factors[h]
-        target = mixed.parts[h]
-        case = classify_case(factor, target)
-        if case is CaseLabel.POINT_MASS:
-            policies.append(ConstantPolicy(factor, target.support()[0]))
-        elif case is CaseLabel.SUPPORT_CONNECTED:
-            support = [factor.labels[i] for i in target.support()]
-            sub = induced_subgraph(factor, support)
-            keep = [factor.index(lab) for lab in sub.labels]
-            kernel = build_kernel(Distribution(target.masses[keep]), sub)
-            policies.append(StationaryKernelPolicy(factor, kernel))
-        elif case is CaseLabel.SUPPORT_IN_COMPONENT:
-            schedule = (
-                schedule_factory() if schedule_factory is not None else Schedule.power_gap()
-            )
-            family = SmoothedKernelFamily(target, factor, schedule)
-            policies.append(ScheduledKernelPolicy(factor, family))
-        else:
-            raise SupportSplitError(
-                f"coalition {h}: support spans several factor components; "
-                "no consistent realization exists"
-            )
+    for h, factor in enumerate(decomposition.factors):
+        try:
+            realization = Realization(mixed.parts[h], factor, factory)
+        except SupportSplitError as exc:
+            raise SupportSplitError(f"coalition {h}: {exc}") from None
+        hop = _next_hop_table(factor, realization.nodes)
+        policies.append(TablePolicy(realization.case.value, hop, realization))
     return tuple(policies)
 
 

@@ -1,17 +1,20 @@
 """Seeded execution of homogeneous, schedule-driven, and product chains.
 
 A trace records T states X(0..T-1); X(0) is drawn from the initial
-distribution and the transition at time t uses the kernel in force at t.
-Every sampler consumes uniforms from one numpy Generator per chain in a
-fixed order (initial draw first, then one per step), so replays are
-byte-identical and product components are independent spawned streams.
+distribution in graph node order and the transition at time t uses the
+kernel in force at t. Every sampler consumes uniforms from one numpy
+Generator per chain in a fixed order (initial draw first, then one per
+kernel transition), so replays are byte-identical and product components
+are independent spawned streams. `Realization` decides how a target is
+realized on a graph and turns uniforms into states for every caller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .chains import (
     build_kernel,
     classify_case,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import TUPLE_SEP, Graph, induced_subgraph
 from .mixed import Distribution
 
 
@@ -114,29 +117,190 @@ def cumulative_row(masses: np.ndarray) -> list[float]:
     return cum.tolist()
 
 
-def cumulative_rows(matrix: np.ndarray) -> list[list[float]]:
-    cum = np.cumsum(matrix, axis=1)
-    cum[:, -1] = 1.0
-    return [row.tolist() for row in cum]
-
-
 def draw_index(cum: list[float], u: float) -> int:
     return bisect_right(cum, u)
 
 
+_BLOCK = 1 << 16  # uniforms drawn per block, which bounds a run's memory
+
+
 def _advance(
-    cumrows: list[list[float]],
-    state: int,
-    uniforms: list[float],
+    table: "TransitionTable",
+    node: int,
+    stream: UniformStream,
+    count: int,
     out: np.ndarray,
     offset: int,
 ) -> int:
-    i = offset
-    for u in uniforms:
-        state = bisect_right(cumrows[state], u)
-        out[i] = state
-        i += 1
-    return state
+    """Take `count` table transitions from `node`, one uniform each, storing
+    the states at out[offset:]; returns the last state."""
+    cum, succ = table.cum, table.succ
+    end = offset + count
+    while offset < end:
+        size = min(_BLOCK, end - offset)
+        path: list[int] = []
+        append = path.append
+        for u in stream.take(size):
+            node = succ[node][bisect_right(cum[node], u)]
+            append(node)
+        out[offset : offset + size] = path
+        offset += size
+    return node
+
+
+class TransitionTable:
+    """A time-homogeneous random mapping f(state, u) over graph nodes.
+
+    A uniform u moves state s to `succ[s][bisect_right(cum[s], u)]`; each
+    row `cum[s]` is nondecreasing and ends at 1.0, so every u in [0, 1)
+    lands in it. States without a row (None) are not in the table.
+    """
+
+    __slots__ = ("cum", "succ")
+
+    def __init__(self, cum: list, succ: list):
+        self.cum = cum
+        self.succ = succ
+
+    @classmethod
+    def from_kernel(cls, kernel: TransitionKernel, labels: Sequence[str]) -> "TransitionTable":
+        """The kernel's rows indexed by position in `labels`. A row keeps the
+        kernel's column order and drops only zero-mass columns, so a uniform
+        picks the same successor as a bisection over the full row; the
+        rounding guard sits on the last kept column."""
+        index = {lab: i for i, lab in enumerate(labels)}
+        node_of_pos = [index[lab] for lab in kernel.state_labels]
+        cum: list = [None] * len(labels)
+        succ: list = [None] * len(labels)
+        full = np.cumsum(kernel.matrix, axis=1)
+        for pos, node in enumerate(node_of_pos):
+            cols = np.flatnonzero(kernel.matrix[pos])
+            row = full[pos, cols]
+            row[-1] = 1.0  # guard against rounding so a draw can never overflow
+            cum[node] = row.tolist()
+            succ[node] = [node_of_pos[c] for c in cols]
+        return cls(cum, succ)
+
+    def __contains__(self, node: int) -> bool:
+        return self.cum[node] is not None
+
+    def run(
+        self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray, t0: int = 0
+    ) -> None:
+        """Fill out[0:steps] from start_node; a homogeneous table ignores t0."""
+        if start_node not in self:
+            raise ValueError("start node has no row in the table")
+        out[0] = start_node
+        _advance(self, start_node, stream, steps - 1, out, 1)
+
+
+class Realization:
+    """How one target is realized on one graph: the four-case dispatch.
+
+    - point mass: the chain holds on the atom and draws nothing;
+    - connected support: one kernel on the support;
+    - support disconnected inside one component: the smoothing-schedule
+      kernels on that component, tabulated per smoothing level when first
+      visited; `schedule_factory` is called in this case only;
+    - support split across components: no graph-consistent chain exists,
+      and construction raises SupportSplitError.
+
+    `nodes` are the states the chain lives on, in graph node order.
+    """
+
+    def __init__(
+        self,
+        target: Distribution,
+        graph: Graph,
+        schedule_factory: Callable[[], Schedule] | None = None,
+    ):
+        self.graph = graph
+        self.case = classify_case(graph, target)
+        self.schedule: Schedule | None = None
+        self._family: SmoothedKernelFamily | None = None
+        self._kernel: TransitionKernel | None = None
+        self._tables: dict[int, TransitionTable] = {}
+        if self.case is CaseLabel.SUPPORT_SPLIT:
+            raise SupportSplitError(
+                "target support spans several graph components; no consistent "
+                "chain can realize this target"
+            )
+        if self.case is CaseLabel.SUPPORT_IN_COMPONENT:
+            if schedule_factory is None:
+                raise ValueError("a schedule is required when the target needs smoothing")
+            self.schedule = schedule_factory()
+            self._family = SmoothedKernelFamily(target, graph, self.schedule)
+            members = self._family.graph.labels
+        else:
+            support = list(target.support())
+            members = [graph.labels[i] for i in support]
+            self._kernel = build_kernel(
+                Distribution(target.masses[support]), induced_subgraph(graph, members)
+            )
+        self.nodes = tuple(graph.index(lab) for lab in members)
+        self._members = frozenset(self.nodes)
+
+    def __contains__(self, node: int) -> bool:
+        return node in self._members
+
+    def kernel_at(self, t: int) -> TransitionKernel:
+        """The kernel in force at transition time t. A schedule's chain holds
+        still before the first switch time; those times map to its kernel."""
+        if self._family is None:
+            return self._kernel
+        return self._family.kernel_at(max(t, self.schedule.first_time))
+
+    def _table(self, level: int) -> TransitionTable:
+        table = self._tables.get(level)
+        if table is None:
+            kernel = (
+                self._kernel if self._family is None else self._family.kernel_for_level(level)
+            )
+            table = TransitionTable.from_kernel(kernel, self.graph.labels)
+            self._tables[level] = table
+        return table
+
+    def _segment(self, t: int, remaining: int) -> tuple[int, TransitionTable | None]:
+        """How many of the next `remaining` transitions, from time t on, share
+        one table, and that table (None while the chain holds)."""
+        if self.case is CaseLabel.POINT_MASS:
+            return remaining, None
+        if self.case is CaseLabel.SUPPORT_CONNECTED:
+            return remaining, self._table(0)
+        schedule = self.schedule
+        if t < schedule.first_time:
+            return min(schedule.first_time - t, remaining), None
+        interval = schedule.interval_index(t)
+        level = schedule.smoothing_index(interval)
+        # merge consecutive intervals sharing a smoothing level
+        end = schedule.interval_end(interval)
+        while end is not None and end - t < remaining:
+            if schedule.smoothing_index(interval + 1) != level:
+                break
+            interval += 1
+            end = schedule.interval_end(interval)
+        count = remaining if end is None else min(end - t, remaining)
+        return count, self._table(level)
+
+    def run(
+        self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray, t0: int = 0
+    ) -> None:
+        """Fill out[0:steps] with states in graph node order: out[0] is
+        start_node, and out[i + 1] follows out[i] by the kernel in force at
+        transition time t0 + i. One uniform per kernel transition, none while
+        the chain holds."""
+        if start_node not in self._members:
+            raise ValueError("start node is not a state of the target's chain")
+        out[0] = node = start_node
+        filled, t = 1, t0
+        while filled < steps:
+            count, table = self._segment(t, steps - filled)
+            if table is None:
+                out[filled : filled + count] = node
+            else:
+                node = _advance(table, node, stream, count, out, filled)
+            filled += count
+            t += count
 
 
 def run_homogeneous(
@@ -149,73 +313,10 @@ def run_homogeneous(
         raise ValueError("initial distribution does not match the kernel states")
     stream = make_stream(seed)
     states = np.empty(steps, dtype=np.int64)
-    state = draw_index(cumulative_row(init.masses), stream.next())
-    states[0] = state
-    if steps > 1:
-        _advance(
-            cumulative_rows(kernel.matrix), state, stream.take(steps - 1), states, 1
-        )
+    start = draw_index(cumulative_row(init.masses), stream.next())
+    TransitionTable.from_kernel(kernel, kernel.state_labels).run(start, steps, stream, states)
     counts = np.bincount(states, minlength=kernel.n)
     return Trace(states, kernel.state_labels, seed, counts)
-
-
-class _ScheduledSampler:
-    """Stepwise sampler for a smoothing-schedule chain on one graph.
-
-    Operates on the component-restricted node order of its kernel family;
-    per-level permutation arrays translate between node order and each
-    kernel's mass-sorted order.
-    """
-
-    def __init__(self, family: SmoothedKernelFamily):
-        self.family = family
-        self.schedule = family.schedule
-        self._per_level: dict[int, tuple[list[list[float]], np.ndarray, np.ndarray]] = {}
-
-    def tables(self, level: int) -> tuple[list[list[float]], np.ndarray, np.ndarray]:
-        cached = self._per_level.get(level)
-        if cached is None:
-            kernel = self.family.kernel_for_level(level)
-            labels = self.family.graph.labels
-            pos_of_node = np.empty(len(labels), dtype=np.int64)
-            for pos, lab in enumerate(kernel.state_labels):
-                pos_of_node[self.family.graph.index(lab)] = pos
-            node_of_pos = np.argsort(pos_of_node)
-            cached = (cumulative_rows(kernel.matrix), pos_of_node, node_of_pos)
-            self._per_level[level] = cached
-        return cached
-
-    def run(self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray) -> None:
-        """Fill out[0:steps] with node-order states, starting at start_node."""
-        out[0] = start_node
-        filled = 1
-        t = 0  # transition time producing out[filled]
-        first = self.schedule.first_time
-        node = start_node
-        while filled < steps:
-            if t < first:
-                hold = min(first - t, steps - filled)
-                out[filled : filled + hold] = node
-                filled += hold
-                t += hold
-                continue
-            interval = self.schedule.interval_index(t)
-            level = self.schedule.smoothing_index(interval)
-            # merge consecutive intervals sharing a smoothing level
-            end = self.schedule.interval_end(interval)
-            while end is not None and end - t < steps - filled:
-                if self.schedule.smoothing_index(interval + 1) != level:
-                    break
-                interval += 1
-                end = self.schedule.interval_end(interval)
-            count = steps - filled if end is None else min(end - t, steps - filled)
-            cumrows, pos_of_node, node_of_pos = self.tables(level)
-            pos = int(pos_of_node[node])
-            pos = _advance(cumrows, pos, stream.take(count), out, filled)
-            out[filled : filled + count] = node_of_pos[out[filled : filled + count]]
-            node = int(out[filled + count - 1])
-            filled += count
-            t += count
 
 
 def run_nonhomogeneous(
@@ -226,26 +327,15 @@ def run_nonhomogeneous(
     steps: int,
     seed: int,
 ) -> Trace:
-    """Schedule-driven chain for a target whose support is disconnected
-    inside one component of `g`; states reported in the full node order."""
+    """Chain realizing `mu` on `g` from `init`, driven by `schedule` when the
+    target's support is disconnected inside one component of `g`; states
+    reported in the full node order. No gap growth is required of the
+    schedule."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if init.n != g.n:
-        raise ValueError("initial distribution does not match the graph")
-    family = SmoothedKernelFamily(mu, g, schedule)
-    sub = family.graph
-    keep = [g.index(lab) for lab in sub.labels]
-    if abs(float(init.masses[keep].sum()) - 1.0) > 1e-12:
-        raise ValueError(
-            "initial distribution must be confined to the component carrying the target"
-        )
-    stream = make_stream(seed)
-    start_local = draw_index(cumulative_row(init.masses[keep]), stream.next())
-    local = np.empty(steps, dtype=np.int64)
-    _ScheduledSampler(family).run(start_local, steps, stream, local)
-    states = np.asarray(keep, dtype=np.int64)[local] if sub.n != g.n else local
-    counts = np.bincount(states, minlength=g.n)
-    return Trace(states, g.labels, seed, counts)
+    comp = ComponentSpec(target=mu, graph=g, schedule=schedule, init=init)
+    states = _run_component(comp, steps, make_stream(seed), gap_c=0, gap_e=0)
+    return Trace(states, g.labels, seed, np.bincount(states, minlength=g.n))
 
 
 @dataclass(frozen=True)
@@ -269,68 +359,33 @@ class ProductChainSpec:
 
 
 def _run_component(
-    comp: ComponentSpec, steps: int, stream: UniformStream, spec: ProductChainSpec
+    comp: ComponentSpec, steps: int, stream: UniformStream, gap_c: int, gap_e: int
 ) -> np.ndarray:
     """States over the component's full node order, consuming exactly one
-    initial draw plus one uniform per transition."""
+    initial draw plus one uniform per kernel transition. X(0) is drawn from
+    the initial distribution over the chain's states in graph node order."""
     g = comp.graph
-    target = comp.target
-    init = comp.init if comp.init is not None else target
-    if init.n != g.n or target.n != g.n:
+    init = comp.init if comp.init is not None else comp.target
+    if init.n != g.n or comp.target.n != g.n:
         raise ValueError("component distributions must match the factor graph")
-    case = classify_case(g, target)
-    states = np.empty(steps, dtype=np.int64)
-    if case is CaseLabel.POINT_MASS:
-        start = draw_index(cumulative_row(init.masses), stream.next())
-        atom = target.support()[0]
-        if start != atom:
-            raise ValueError("point-mass component must start at its atom")
-        states[:] = atom
-        return states
-    if case is CaseLabel.SUPPORT_CONNECTED:
-        support = [g.labels[i] for i in target.support()]
-        sub = induced_subgraph(g, support)
-        keep = [g.index(lab) for lab in sub.labels]
-        if abs(float(init.masses[keep].sum()) - 1.0) > 1e-12:
-            raise ValueError("initial distribution must live on the target support")
-        kernel = build_kernel(Distribution(target.masses[keep]), sub)
-        pos_of_keep = {lab: pos for pos, lab in enumerate(kernel.state_labels)}
-        init_kernel_order = np.array(
-            [init.masses[g.index(lab)] for lab in kernel.state_labels]
-        )
-        state = draw_index(cumulative_row(init_kernel_order), stream.next())
-        states[0] = state
-        if steps > 1:
-            _advance(cumulative_rows(kernel.matrix), state, stream.take(steps - 1), states, 1)
-        full_of_pos = np.array(
-            [g.index(lab) for lab in kernel.state_labels], dtype=np.int64
-        )
-        return full_of_pos[states]
-    if case is CaseLabel.SUPPORT_SPLIT:
-        raise SupportSplitError(
-            "component target support spans several factor components"
-        )
     schedule = comp.schedule
-    if schedule is None:
-        raise ValueError(
-            "a schedule is required when the component target needs smoothing"
-        )
-    if not schedule.gap_ok(spec.gap_c, spec.gap_e, horizon=steps):
-        raise GapConditionError(
-            f"schedule {schedule.label} violates the gap bound "
-            f"{spec.gap_c} * l**{spec.gap_e} below horizon {steps}"
-        )
-    family = SmoothedKernelFamily(target, g, schedule)
-    sub = family.graph
-    keep = [g.index(lab) for lab in sub.labels]
-    if abs(float(init.masses[keep].sum()) - 1.0) > 1e-12:
-        raise ValueError(
-            "initial distribution must be confined to the component carrying the target"
-        )
-    start_local = draw_index(cumulative_row(init.masses[keep]), stream.next())
-    local = np.empty(steps, dtype=np.int64)
-    _ScheduledSampler(family).run(start_local, steps, stream, local)
-    return np.asarray(keep, dtype=np.int64)[local] if sub.n != g.n else local
+
+    def gap_checked() -> Schedule:
+        if not schedule.gap_ok(gap_c, gap_e, horizon=steps):
+            raise GapConditionError(
+                f"schedule {schedule.label} violates the gap bound "
+                f"{gap_c} * l**{gap_e} below horizon {steps}"
+            )
+        return schedule
+
+    realization = Realization(comp.target, g, None if schedule is None else gap_checked)
+    nodes = list(realization.nodes)
+    if abs(float(init.masses[nodes].sum()) - 1.0) > 1e-12:
+        raise ValueError("initial distribution must live on the states of the target's chain")
+    start = nodes[draw_index(cumulative_row(init.masses[nodes]), stream.next())]
+    states = np.empty(steps, dtype=np.int64)
+    realization.run(start, steps, stream, states)
+    return states
 
 
 def run_product(spec: ProductChainSpec) -> Trace:
@@ -346,18 +401,14 @@ def run_product(spec: ProductChainSpec) -> Trace:
         raise ValueError("need at least one component")
     streams = component_streams(spec.seed, len(spec.components))
     factor_states = [
-        _run_component(comp, spec.steps, stream, spec)
+        _run_component(comp, spec.steps, stream, spec.gap_c, spec.gap_e)
         for comp, stream in zip(spec.components, streams)
     ]
     dims = tuple(comp.graph.n for comp in spec.components)
     joint = np.ravel_multi_index(factor_states, dims)
-    from itertools import product as iproduct
-
-    from .graphs import TUPLE_SEP
-
     joint_labels = tuple(
         TUPLE_SEP.join(combo)
-        for combo in iproduct(*(comp.graph.labels for comp in spec.components))
+        for combo in product(*(comp.graph.labels for comp in spec.components))
     )
     component_traces = tuple(
         Trace(

@@ -21,7 +21,6 @@ from graphgame.chains import (
     dobrushin,
     dobrushin_bound,
     min_valid_k,
-    nonhomogeneous_kernel,
     smooth,
     stationary_distribution,
 )
@@ -347,13 +346,6 @@ class TestKernelFamily:
             assert kernel.state_labels[0] == "s1"
             assert kernel.matrix[0, 0] == 1.0 - 2.0 ** -(l + 1)
             assert kernel.p == 2.0 ** -(l + 1)
-
-    def test_wrapper_matches_family(self, example_graph):
-        mu = dist(0.5, 0.5, 0.0, 0.0)
-        sched = power_gap_quiet()
-        family = SmoothedKernelFamily(mu, example_graph, sched)
-        direct = nonhomogeneous_kernel(7, sched, mu, example_graph)
-        assert np.array_equal(direct.matrix, family.kernel_at(7).matrix)
 
     def test_split_support_rejected(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])

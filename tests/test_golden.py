@@ -1,0 +1,112 @@
+"""Golden artifacts: sha256 digests of CLI outputs on the bundled fixtures.
+
+Every command is deterministic given its inputs, flags and seed, so any
+change to how uniforms become states, or to how artifacts are written, shows
+up here as a digest mismatch. A deliberate change must update the table and
+say why in the change log.
+"""
+
+import hashlib
+import warnings
+from pathlib import Path
+
+import pytest
+
+from graphgame.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+PATH5 = [str(FIXTURES / "path5_graph.json"), str(FIXTURES / "uniform5_target.json")]
+EXAMPLE = [
+    str(FIXTURES / "chain_example_graph.json"),
+    str(FIXTURES / "chain_example_target.json"),
+]
+PENNIES = str(FIXTURES / "matching_pennies.json")
+COORDINATION = str(FIXTURES / "coordination.json")
+
+RUNS = {
+    "mcmc-run-path5": ["mcmc-run", *PATH5, "--steps", "20000", "--seed", "3"],
+    "mcmc-run-example-powergap": [
+        "mcmc-run", *EXAMPLE, "--steps", "20000", "--seed", "1",
+        "--schedule", "powergap:1:3", "--burn-in", "100",
+    ],
+    "mcmc-run-example-counterexample": [
+        "mcmc-run", *EXAMPLE, "--steps", "5000", "--seed", "2",
+        "--schedule", "counterexample",
+    ],
+    "repeated-pennies": [
+        "repeated", PENNIES, "--t-eval", "5000", "--replicas", "3", "--seed", "4",
+    ],
+    "repeated-coordination": [
+        "repeated", COORDINATION, "--t-eval", "5000", "--replicas", "3", "--seed", "5",
+    ],
+    "folk-check-pennies": [
+        "folk-check", PENNIES, "--t-eval", "10000", "--dev-steps", "2000",
+        "--replicas", "4", "--seed", "6",
+    ],
+    "folk-check-coordination": [
+        "folk-check", COORDINATION, "--t-eval", "10000", "--dev-steps", "2000",
+        "--replicas", "4", "--seed", "7",
+    ],
+    "analyze-pennies": ["analyze", PENNIES],
+    "analyze-coordination": ["analyze", COORDINATION],
+}
+
+DIGESTS = {
+    "analyze-coordination": {
+        "equilibria.json": "cab83b3ae5e5b032b8a6a9b6136a9ffc8b9d196df7e8427dac08783dd7e6f650",
+    },
+    "analyze-pennies": {
+        "equilibria.json": "e46d34fda833a4f01534c5dd538602ce4b9945287093be5184320d1fa42b8859",
+    },
+    "folk-check-coordination": {
+        "folk.json": "4839a6556e00faa60421a84b849005d7b1a82ae2469f5b73cd74a4e536f92830",
+    },
+    "folk-check-pennies": {
+        "folk.json": "b0d1a981ebd87af175ade9653a10181bd2a93ec8d1be53e5aab3469df4967007",
+    },
+    "mcmc-run-example-counterexample": {
+        "empirical.csv": "00714c8b4fe0994f0d24f0c41b6b0e6cc65ca3be6b2e80376d6c6a6b4e4f3df6",
+        "kernel.csv": "020b50abb1e12d4a7391b70630ae317ca0d4596c0d05081699378d5feb36887a",
+        "summary.json": "b19817dd1a1aaeaca47cc4d394884e0b1c1d8f0ad99fbb491e9993c97fd6b688",
+        "trace.csv": "a284fae75bac3c7cecd334c0f5f022a14e0c18683eee6d4c8630ad02aa35ea5e",
+        "tv_series.csv": "36ea8f6e0a6d2b4f8d9e6814b9160aa045b904bb93943ee35537b4fc8a52097e",
+    },
+    "mcmc-run-example-powergap": {
+        "empirical.csv": "055a1d3a8bd4095480e84963f9a53147f2fc36fedd4e2504299c1093d731f365",
+        "kernel.csv": "0ba63e9f9ed3e420f2fa291f26593166712a7057c057f9f7cc485c61ec29920b",
+        "summary.json": "7c0b56db62da338850f19cd05864d7110e6e4fa84e501f3310242d21fa12b763",
+        "trace.csv": "bac98c73f201e12374a97d8345483b7d6174223405dbe0a93a34c2baa849a7e6",
+        "tv_series.csv": "82f710c090999d63a693b9d8d5886b4662fa31633078a542a9ec910bc238bd13",
+    },
+    "mcmc-run-path5": {
+        "empirical.csv": "bdb003c0bdc6f2264323eeccdd5551985b1963483a3a2fe98fa0b8152a819cbe",
+        "kernel.csv": "80620bbe5e263a3049567074e1909a2ac88a2a5a9bd3c2db34054164da3705d2",
+        "summary.json": "e46d9add390c893abe5eec50e8b4ece4ca43d97eea52111dd659b1b7d5933466",
+        "trace.csv": "c4520717f641a494f1cc43ef3fe50cf162a1d669f006e4c30be59fcac3e2030e",
+        "tv_series.csv": "b680067b8f3b0448689d2420d80b71e2407994ace14a56384dc6527f3b6ceb86",
+    },
+    "repeated-coordination": {
+        "repeated.json": "c2271460bee076e98f7ca3ffe66120d85a362351af0e2ec394c48e88c0de7bbf",
+        "trace.csv": "f43610b35a03bac038e3c666c6a38da02ef8e29c9dfa635183cb6cc42b5b52cf",
+    },
+    "repeated-pennies": {
+        "repeated.json": "1bf9e7d3355d27080208c99860db0680982dd555b62a5337304013a92fea6a90",
+        "trace.csv": "649019a96815270d4d747d0e7de57bb032209447d49b8d59c27311a2828d32e7",
+    },
+}
+
+
+def artifact_digests(name: str, out: Path) -> dict[str, str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(RUNS[name] + ["--out", str(out)])
+    assert code == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    assert artifact_digests(name, tmp_path) == DIGESTS[name]

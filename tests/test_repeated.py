@@ -1,10 +1,11 @@
+import math
 import random
 import warnings
 
 import numpy as np
 import pytest
 
-from graphgame.chains import Schedule, SupportSplitError
+from graphgame.chains import CaseLabel, Schedule, SupportSplitError, TransitionKernel
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
 from graphgame.graphs import (
     Graph,
@@ -28,11 +29,11 @@ from graphgame.repeated import (
     LazyRandomWalkPolicy,
     MyopicGreedyPolicy,
     PlayersInit,
+    RandomWalkPolicy,
     RefereeInit,
     RepeatedConfig,
-    ScheduledKernelPolicy,
     ScriptedPolicy,
-    StationaryKernelPolicy,
+    TablePolicy,
     decompose_game,
     deviation_test,
     equilibrium_policies,
@@ -44,6 +45,7 @@ from graphgame.repeated import (
 from graphgame.simulate import (
     ComponentSpec,
     ProductChainSpec,
+    TransitionTable,
     run_product,
     verify_consistency,
 )
@@ -303,6 +305,141 @@ class TestSimulateRepeated:
         simulate_repeated(config, seed=0)
         assert seen and all(seen)
 
+    def test_kernel_policy_start_matches_run_product(self):
+        # X(0) is drawn in node order by both engines, so the paths agree even
+        # when the kernel's mass order (b, c, a) differs from node order
+        factor = path_graph(["a", "b", "c"])
+        target = dist(0.2, 0.5, 0.3)
+        game = one_coalition_game(factor)
+        dec = decompose_game(game)
+        config = RepeatedConfig(
+            game=game,
+            decomposition=dec,
+            policies=equilibrium_policies(game, dec, MixedProfile((target,))),
+            init=RefereeInit(distributions=(target,)),
+            t_eval=2000,
+        )
+        for seed in range(20):
+            trace, _ = simulate_repeated(config, seed=seed)
+            spec = ProductChainSpec(
+                components=(ComponentSpec(target=target, graph=factor),),
+                steps=2000,
+                seed=seed,
+            )
+            ref = run_product(spec).components[0]
+            assert trace.components[0].states.tobytes() == ref.states.tobytes(), seed
+
+    def test_table_policy_same_path_under_maximal_info(self):
+        game = matching_pennies()
+        dec = decompose_game(game)
+        seen = []
+
+        def watcher(t, own, stream, joint):
+            if joint is not None:
+                assert len(joint[0]) == t + 1  # coalition 0 already moved at t
+                seen.append(joint[0][-1])
+            return own[-1]
+
+        paths = {}
+        for info in (InfoModel.MINIMAL, InfoModel.MAXIMAL):
+            config = RepeatedConfig(
+                game=game,
+                decomposition=dec,
+                policies=(LazyRandomWalkPolicy(dec.factors[0]), CustomPolicy(watcher)),
+                init=PlayersInit((0, 0)),
+                info=info,
+                t_eval=3000,
+            )
+            trace, _ = simulate_repeated(config, seed=17)
+            paths[info] = trace.components[0].states
+        assert paths[InfoModel.MAXIMAL].tobytes() == paths[InfoModel.MINIMAL].tobytes()
+        assert seen == paths[InfoModel.MAXIMAL][1:].tolist()
+
+    def test_off_edge_table_names_first_bad_stage(self):
+        # a kernel on {a, c} of the path a-b-c moves along a non-edge
+        factor = path_graph(["a", "b", "c"])
+        game = one_coalition_game(factor)
+        dec = decompose_game(game)
+        kernel = TransitionKernel(np.full((2, 2), 0.5), ("a", "c"), 0.5)
+        table = TablePolicy(
+            "off-edge", [None] * 3, TransitionTable.from_kernel(kernel, factor.labels)
+        )
+
+        def stepwise(t, own, stream, joint):
+            return (0, 2)[int(stream.next() >= 0.5)]
+
+        messages = []
+        for policy in (table, CustomPolicy(stepwise)):
+            config = RepeatedConfig(
+                game=game,
+                decomposition=dec,
+                policies=(policy,),
+                init=PlayersInit((0,)),
+                t_eval=200,
+            )
+            with pytest.raises(ConsistencyViolationError) as err:
+                simulate_repeated(config, seed=9)
+            messages.append(str(err.value))
+        uniforms = np.random.default_rng(np.random.SeedSequence(9)).random(200)
+        first = int(np.flatnonzero(uniforms >= 0.5)[0]) + 1
+        assert messages[0] == messages[1]
+        assert f"jumped a -> c at stage {first};" in messages[0]
+
+
+def ulp_neighbourhood(points, width=3):
+    out = []
+    for x in points:
+        lo = hi = x
+        out.append(x)
+        for _ in range(width):
+            lo = math.nextafter(lo, -math.inf)
+            hi = math.nextafter(hi, math.inf)
+            out.extend((lo, hi))
+    return [u for u in out if 0.0 <= u < 1.0]
+
+
+class TestWalkRows:
+    """The walk tables cut [0, 1) exactly where the per-stage arithmetic
+    `min(int(u * d), d - 1)` (lazy walk: `(u - 0.5) * 2 * d` above 1/2)
+    changes value; numpy's float64 products round as Python's do."""
+
+    BULK = np.random.default_rng(2024).random(100_000)
+
+    def rows(self, policy_cls, d):
+        star = Graph(
+            ["hub"] + [f"leaf{i}" for i in range(d)], [("hub", f"leaf{i}") for i in range(d)]
+        )
+        table = policy_cls(star).chain
+        return np.array(table.cum[0]), np.array(table.succ[0])
+
+    def test_walk_rows_match_arithmetic(self):
+        for d in range(1, 41):
+            cum, succ = self.rows(RandomWalkPolicy, d)
+            options = d + 1  # hub plus its leaves, in node order
+            u = np.concatenate(
+                [self.BULK, ulp_neighbourhood([*cum[:-1], *(k / options for k in range(options))])]
+            )
+            old = np.minimum((u * options).astype(np.int64), options - 1)
+            assert np.array_equal(succ[np.searchsorted(cum, u, side="right")], old), d
+
+    def test_lazy_walk_rows_match_arithmetic(self):
+        for d in range(1, 41):
+            cum, succ = self.rows(LazyRandomWalkPolicy, d)
+            u = np.concatenate(
+                [
+                    self.BULK,
+                    ulp_neighbourhood([*cum[:-1], *(0.5 + k / (2 * d) for k in range(d))]),
+                ]
+            )
+            moved = 1 + np.minimum(((u - 0.5) * 2 * d).astype(np.int64), d - 1)
+            old = np.where(u < 0.5, 0, moved)
+            assert np.array_equal(succ[np.searchsorted(cum, u, side="right")], old), d
+
+    def test_isolated_node_draws_and_stays(self):
+        for policy_cls in (RandomWalkPolicy, LazyRandomWalkPolicy):
+            cum, succ = self.rows(policy_cls, 0)
+            assert cum.tolist() == [1.0] and succ.tolist() == [0]
+
 
 class TestEquilibriumPolicies:
     def test_dirac_gives_constant(self):
@@ -310,14 +447,14 @@ class TestEquilibriumPolicies:
         dec = decompose_game(game)
         mixed = MixedProfile.dirac(game, (0, 0))
         policies = equilibrium_policies(game, dec, mixed)
-        assert all(isinstance(p, ConstantPolicy) for p in policies)
+        assert all(p.case is CaseLabel.POINT_MASS for p in policies)
 
     def test_uniform_connected_gives_stationary(self):
         game = matching_pennies()
         dec = decompose_game(game)
         mixed = compute_mixed_equilibrium(game)
         policies = equilibrium_policies(game, dec, mixed)
-        assert all(isinstance(p, StationaryKernelPolicy) for p in policies)
+        assert all(p.case is CaseLabel.SUPPORT_CONNECTED for p in policies)
 
     def test_disconnected_support_gives_schedule(self):
         factor = Graph(
@@ -329,7 +466,7 @@ class TestEquilibriumPolicies:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             policies = equilibrium_policies(game, dec, mixed)
-        assert isinstance(policies[0], ScheduledKernelPolicy)
+        assert policies[0].case is CaseLabel.SUPPORT_IN_COMPONENT
 
     def test_split_support_rejected(self):
         factor = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])

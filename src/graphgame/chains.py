@@ -139,8 +139,8 @@ class TransitionKernel:
         n = len(self.state_labels)
         if m.shape != (n, n):
             raise ValueError("matrix shape does not match state labels")
-        if np.any(m < 0) or np.any(m > 1 + ROW_SUM_TOL):
-            raise ValueError("transition probabilities outside [0, 1]")
+        if not np.all(np.isfinite(m)) or np.any(m < 0) or np.any(m > 1 + ROW_SUM_TOL):
+            raise ValueError("transition probabilities must be finite and in [0, 1]")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError("rows must sum to 1")
         if np.any(np.diag(m) < 0.5 - ROW_SUM_TOL):

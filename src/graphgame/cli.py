@@ -4,8 +4,8 @@ Every command is deterministic given its inputs, flags, and seed; artifacts
 are flat JSON/CSV meant to be diffed. Exit codes: 0 success, 1 a completed
 check failed, 2 input or usage error, 3 the target's support spans several
 graph components (no consistent chain exists), 4 the game graph is not a
-product of per-coalition factors, 5 the mixed-equilibrium solver did not
-converge.
+product of per-coalition factors, 5 fictitious play did not certify a mixed
+equilibrium (three or more coalitions only).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import numpy as np
 
 from . import formats
 from .chains import (
+    ChainError,
     Schedule,
+    ScheduleError,
     SupportSplitError,
     build_kernel,
     dobrushin,
@@ -76,11 +78,9 @@ def parse_schedule(text: str, n_states: int) -> Schedule:
     if text.startswith("powergap:"):
         parts = text.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError("expected powergap:c:e")
+            raise ScheduleError("expected powergap:c:e")
         return Schedule.power_gap(int(parts[1]), int(parts[2]))
-    raise argparse.ArgumentTypeError(
-        "schedule must be theoretical, powergap:c:e, or counterexample"
-    )
+    raise ScheduleError("schedule must be theoretical, powergap:c:e, or counterexample")
 
 
 def _out_dir(args) -> Path:
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (formats.FormatError, ValueError, OSError) as exc:
+    except (formats.FormatError, ChainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,7 +11,7 @@ at a point mass, so checking pure deviations is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +38,8 @@ class Distribution:
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty vector")
-        if np.any(m < 0):
-            raise ValueError("negative probability mass")
+        if not np.all(np.isfinite(m)) or np.any(m < 0):
+            raise ValueError("probability masses must be finite and nonnegative")
         if abs(float(m.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"masses sum to {m.sum()!r}, not 1")
         m = m.copy()
@@ -177,12 +177,20 @@ def pure_in_mixed(game: GGame, profile: Profile) -> bool:
     return is_mixed_c_equilibrium(game, MixedProfile.dirac(game, profile), tol=0.0)
 
 
-def _supports(n: int):
-    for size in range(1, n + 1):
-        yield from combinations(range(n), size)
+def _support_pairs(m: int, n: int):
+    """Nonempty support pairs (I, J), lazily, in Porter-Nudelman-Shoham order:
+    by ||I| - |J|| (balanced pairs, where a nondegenerate game's equilibria
+    lie, first), then |I| + |J|, then |I|, then lexicographically."""
+    for gap in range(max(m, n)):
+        for total in range(gap + 2, m + n + 1, 2):
+            for size in sorted({(total - gap) // 2, (total + gap) // 2}):
+                if size <= m and total - size <= n:
+                    yield from product(
+                        combinations(range(m), size), combinations(range(n), total - size)
+                    )
 
 
-def _support_enumeration_two(game: GGame, certify_tol: float) -> MixedProfile | None:
+def _support_enumeration_two(game: GGame, certify_tol: float) -> MixedProfile:
     """Exact search over support pairs for two-coalition games.
 
     For supports (I, J), each coalition's mixture must equalize the other's
@@ -191,33 +199,28 @@ def _support_enumeration_two(game: GGame, certify_tol: float) -> MixedProfile | 
     """
     a, b = game.payoffs
     m, n = game.dims
-    pairs = sorted(
-        ((i, j) for i in _supports(m) for j in _supports(n)),
-        key=lambda ij: (len(ij[0]) + len(ij[1]), len(ij[0]), ij),
-    )
-    for supp_x, supp_y in pairs:
-        x = _equalizing_mixture(b[np.ix_(supp_x, supp_y)].T, len(supp_x))
-        y = _equalizing_mixture(a[np.ix_(supp_x, supp_y)], len(supp_y))
-        if x is None or y is None:
+    for supp_x, supp_y in _support_pairs(m, n):
+        x = _equalizing_mixture(b[np.ix_(supp_x, supp_y)].T)
+        if x is None:
+            continue
+        y = _equalizing_mixture(a[np.ix_(supp_x, supp_y)])
+        if y is None:
             continue
         fx = np.zeros(m)
         fx[list(supp_x)] = x
         fy = np.zeros(n)
         fy[list(supp_y)] = y
-        try:
-            candidate = MixedProfile((Distribution(fx), Distribution(fy)))
-        except ValueError:
-            continue
+        candidate = MixedProfile((Distribution(fx), Distribution(fy)))
         if is_mixed_c_equilibrium(game, candidate, tol=certify_tol):
             return candidate
-    return None
+    # every game has an equilibrium: reached only if least squares missed one
+    raise NoConvergenceError("support enumeration certified no support pair")
 
 
-def _equalizing_mixture(mat: np.ndarray, size: int) -> np.ndarray | None:
-    """Solve for a mixture over `size` strategies making every row of `mat`
-    (the opponent's supported payoffs) take one common value."""
-    rows, cols = mat.shape
-    assert cols == size
+def _equalizing_mixture(mat: np.ndarray) -> np.ndarray | None:
+    """Solve for a mixture over the columns of `mat` making every row (the
+    opponent's supported payoffs) take one common value."""
+    rows, size = mat.shape
     system = np.zeros((rows + 1, size + 1))
     system[:rows, :size] = mat
     system[:rows, size] = -1.0
@@ -268,18 +271,15 @@ def compute_mixed_equilibrium(
 ) -> MixedProfile:
     """Find a mixed equilibrium certified by `is_mixed_c_equilibrium`.
 
-    Two-coalition games up to 4 strategies per coalition get exact support
-    enumeration. Larger games first try every point-mass product, then fall
-    back to damped fictitious play, which raises NoConvergenceError if the
-    certification fails at the iteration cap.
+    Two coalitions get exact support enumeration at any size. Three or more
+    first try every point-mass product, then damped fictitious play, which
+    raises NoConvergenceError if certification fails at the iteration cap.
     """
     if game.r == 1:
         best = int(np.argmax(game.payoffs[0]))
         return MixedProfile.dirac(game, (best,))
-    if game.r == 2 and max(game.dims) <= 4:
-        found = _support_enumeration_two(game, certify_tol=min(tol, 1e-9))
-        if found is not None:
-            return found
+    if game.r == 2:
+        return _support_enumeration_two(game, certify_tol=min(tol, 1e-9))
     for profile in game.profiles():
         candidate = MixedProfile.dirac(game, profile)
         if is_mixed_c_equilibrium(game, candidate, tol=0.0):

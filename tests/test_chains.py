@@ -194,6 +194,8 @@ class TestBuildKernel:
             TransitionKernel(np.array([[0.4, 0.6], [0.5, 0.5]]), ("a", "b"), 0.1)
         with pytest.raises(ValueError):
             TransitionKernel(np.array([[0.9, 0.2], [0.5, 0.5]]), ("a", "b"), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            TransitionKernel(np.array([[np.nan, 0.5], [0.5, 0.5]]), ("a", "b"), 0.1)
 
 
 class TestDobrushin:

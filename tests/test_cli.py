@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from graphgame import chains, cli
 from graphgame.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -270,3 +271,65 @@ class TestFolkCheck:
             ["folk-check", str(FIXTURES / "four_cycle.json"), "--out", str(tmp_path)]
         )
         assert code == 4
+
+
+PATH5_GRAPH = str(FIXTURES / "path5_graph.json")
+UNIFORM5 = str(FIXTURES / "uniform5_target.json")
+EXAMPLE = [
+    str(FIXTURES / "chain_example_graph.json"),
+    str(FIXTURES / "chain_example_target.json"),
+]
+
+# argv without --out; "{target}" stands for a target file the case writes
+INPUT_ERRORS = {
+    "nan-mass": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": NaN, "b": 1.0}'),
+    "infinite-mass": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": Infinity}'),
+    "zero-masses": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": 0.5, "c": 0.5}'),
+    "disconnected-graph": (
+        ["mcmc-build", str(FIXTURES / "split_graph.json"), "{target}"],
+        '{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}',
+    ),
+    "empty-low-set": (["mcmc-build", PATH5_GRAPH, UNIFORM5, "--smooth-k", "5"], None),
+    "unknown-schedule": (
+        ["mcmc-run", *EXAMPLE, "--steps", "100", "--schedule", "bogus"], None
+    ),
+    "short-powergap": (
+        ["mcmc-run", *EXAMPLE, "--steps", "100", "--schedule", "powergap:1"], None
+    ),
+    "non-integer-powergap": (
+        ["mcmc-run", *EXAMPLE, "--steps", "100", "--schedule", "powergap:x:3"], None
+    ),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+    def test_exit_2_one_line_no_artifact(self, name, tmp_path, capsys):
+        argv, target = INPUT_ERRORS[name]
+        if target is not None:
+            (tmp_path / "target.json").write_text(target)
+        argv = [a.replace("{target}", str(tmp_path / "target.json")) for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (chains.ChainError, 2),
+            (chains.GapConditionError, 2),
+            (chains.CaseMismatchError, 2),
+            (chains.SupportSplitError, 3),
+        ],
+    )
+    def test_chain_errors_map_to_exit_codes(self, error, code, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise error("from the kernel")
+
+        monkeypatch.setattr(cli, "build_kernel", fail)
+        argv = ["mcmc-build", PATH5_GRAPH, UNIFORM5, "--out", str(tmp_path)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == "error: from the kernel\n"

@@ -7,12 +7,17 @@ say why in the change log.
 """
 
 import hashlib
+import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from graphgame import formats
 from graphgame.cli import main
+from graphgame.games import CoalitionStructure, GGame
+from graphgame.graphs import complete_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -50,6 +55,8 @@ RUNS = {
     ],
     "analyze-pennies": ["analyze", PENNIES],
     "analyze-coordination": ["analyze", COORDINATION],
+    "mixed-pennies": ["mixed", PENNIES],
+    "mixed-coordination": ["mixed", COORDINATION],
 }
 
 DIGESTS = {
@@ -64,6 +71,12 @@ DIGESTS = {
     },
     "folk-check-pennies": {
         "folk.json": "b0d1a981ebd87af175ade9653a10181bd2a93ec8d1be53e5aab3469df4967007",
+    },
+    "mixed-coordination": {
+        "mixed.json": "8cfad1ede9ca450d8942b762bf1604ef3d21f7290fb9d5327752be7ad27a54ad",
+    },
+    "mixed-pennies": {
+        "mixed.json": "d9ecbf655a36bdd39c367c5fbdcc4e4aa359e9e611b18417a5e0d0a0e39feacb",
     },
     "mcmc-run-example-counterexample": {
         "empirical.csv": "00714c8b4fe0994f0d24f0c41b6b0e6cc65ca3be6b2e80376d6c6a6b4e4f3df6",
@@ -110,3 +123,24 @@ def artifact_digests(name: str, out: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_artifacts_match_golden_digests(name, tmp_path):
     assert artifact_digests(name, tmp_path) == DIGESTS[name]
+
+
+def test_mixed_solves_pursuit_game(tmp_path):
+    """The 5x5 cyclic pursuit game (A the identity rolled by one, B the
+    identity) has the uniform profile as its equilibrium; exact support
+    enumeration finds it."""
+    n = 5
+    spaces = (tuple(f"a{i}" for i in range(n)), tuple(f"b{i}" for i in range(n)))
+    game = GGame(
+        CoalitionStructure((1, 2), ((1,), (2,))),
+        spaces,
+        (np.roll(np.eye(n), 1, axis=1), np.eye(n)),
+        complete_graph(GGame.joint_labels(spaces)),
+    )
+    path = tmp_path / "pursuit.json"
+    formats.dump_json(formats.game_to_dict(game), path)
+    assert main(["mixed", str(path), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "mixed.json").read_text())
+    assert sorted(doc["profile"]) == ["C1", "C2"]
+    for masses in doc["profile"].values():
+        assert np.allclose(masses, 1.0 / n, rtol=0.0, atol=1e-12)

@@ -3,6 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
 from graphgame.graphs import Graph, complete_graph
@@ -42,6 +46,11 @@ class TestDistribution:
             Distribution(np.array([-0.1, 1.1]))
         with pytest.raises(ValueError):
             Distribution(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(np.array([bad, 1.0]))
 
     def test_support_and_builders(self):
         d = Distribution.dirac(3, 1)
@@ -257,6 +266,75 @@ class TestComputeEquilibrium:
         game = GGame(structure, spaces, (t,), complete_graph(GGame.joint_labels(spaces)))
         mp = compute_mixed_equilibrium(game)
         assert mp.parts[0].masses[1] == 1.0
+
+
+def bimatrix_game(a, b) -> GGame:
+    """Two single-player coalitions with payoff matrices a and b."""
+    spaces = tuple(tuple(f"c{h}s{i}" for i in range(d)) for h, d in enumerate(a.shape))
+    structure = CoalitionStructure((1, 2), ((1,), (2,)))
+    return GGame(structure, spaces, (a, b), complete_graph(GGame.joint_labels(spaces)))
+
+
+def iid_matrices(dims):
+    """Independent uniform payoffs from a drawn seed: nondegenerate almost surely."""
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: tuple(np.random.default_rng(seed).random((2, *dims)))
+    )
+
+
+def small_integer_matrices(dims):
+    """Payoffs from {-2, ..., 2}: ties everywhere, so most games are degenerate."""
+    return arrays(float, (2, *dims), elements=st.integers(-2, 2).map(float)).map(tuple)
+
+
+game_dims = st.tuples(st.integers(1, 8), st.integers(1, 8))
+# zero-sum equilibria have large supports, so the enumeration tries many
+# more pairs there: up to 6x6 keeps the oracle test at a few seconds
+zero_sum_dims = st.tuples(st.integers(1, 6), st.integers(1, 6))
+property_test = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestTwoCoalitionContract:
+    """Two-coalition games always have a mixed equilibrium, and support
+    enumeration certifies one at every size, degenerate games included."""
+
+    @property_test
+    @given(game_dims.flatmap(iid_matrices))
+    def test_iid_games_certified(self, matrices):
+        game = bimatrix_game(*matrices)
+        assert is_mixed_c_equilibrium(game, compute_mixed_equilibrium(game), tol=1e-6)
+
+    @property_test
+    @given(game_dims.flatmap(small_integer_matrices))
+    def test_degenerate_games_certified(self, matrices):
+        game = bimatrix_game(*matrices)
+        assert is_mixed_c_equilibrium(game, compute_mixed_equilibrium(game), tol=1e-6)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("shift_a, shift_b", [(1, 0), (0, 2)], ids=["pursuit", "shapley"])
+    def test_cyclic_games_certified(self, n, shift_a, shift_b):
+        eye = np.eye(n)
+        game = bimatrix_game(np.roll(eye, shift_a, axis=1), np.roll(eye, shift_b, axis=1))
+        assert is_mixed_c_equilibrium(game, compute_mixed_equilibrium(game), tol=1e-6)
+
+    @property_test
+    @given(zero_sum_dims.flatmap(iid_matrices))
+    def test_zero_sum_value_matches_linear_program(self, matrices):
+        a = matrices[0] - 0.5
+        game = bimatrix_game(a, -a)
+        got = expected_payoff(game, compute_mixed_equilibrium(game), 0)
+        # max v subject to x^T a >= v on every column, x in the simplex
+        m, n = a.shape
+        res = linprog(
+            np.r_[np.zeros(m), -1.0],
+            A_ub=np.c_[-a.T, np.ones(n)],
+            b_ub=np.zeros(n),
+            A_eq=np.r_[np.ones(m), 0.0][None, :],
+            b_eq=[1.0],
+            bounds=[(0, None)] * m + [(None, None)],
+        )
+        assert res.status == 0
+        assert abs(got - -res.fun) <= 1e-7
 
 
 class TestPureInMixed:

@@ -26,6 +26,8 @@ from .mixed import Distribution
 
 ROW_SUM_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
+# float64 values in one block of `dobrushin`'s row-pair minima (16 MB)
+DOBRUSHIN_BLOCK = 1 << 21
 
 
 class ChainError(Exception):
@@ -201,7 +203,12 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
 
 
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
-    """Contraction coefficient: one minus the minimal row overlap."""
+    """Contraction coefficient: one minus the minimal row overlap.
+
+    The overlaps of every row with all rows are computed for a block of rows
+    at a time, at most DOBRUSHIN_BLOCK values (one row when n * n exceeds
+    it), so memory grows as n**2, not n**3.
+    """
     m = kernel.matrix if isinstance(kernel, TransitionKernel) else np.asarray(kernel, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
@@ -209,8 +216,12 @@ def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
         np.abs(m.sum(axis=1) - 1.0) > STOCHASTIC_TOL
     ):
         raise ValueError("matrix is not row-stochastic")
-    overlap = np.minimum(m[:, None, :], m[None, :, :]).sum(axis=2)
-    return float(1.0 - overlap.min())
+    rows = max(1, DOBRUSHIN_BLOCK // max(1, m.size))
+    overlap = min(
+        np.minimum(m[i : i + rows, None, :], m[None, :, :]).sum(axis=2).min()
+        for i in range(0, m.shape[0], rows)
+    )
+    return float(1.0 - overlap)
 
 
 def dobrushin_bound(n_states: int, k: int) -> float:

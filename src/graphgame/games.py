@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .graphs import Graph, TUPLE_SEP
+from .graphs import TUPLE_SEP, Graph, joint_labels
 
 Profile = tuple[int, ...]
 EquilibriumSet = frozenset  # of Profile; every member passes is_pure_c_equilibrium
@@ -120,10 +120,7 @@ class GGame:
             prof_of_node[node_of[prof]] = prof
         self._profile_of_node = tuple(prof_of_node)
 
-    @staticmethod
-    def joint_labels(spaces: Sequence[Sequence[str]]) -> list[str]:
-        """Row-major joint profile labels for the given strategy spaces."""
-        return [TUPLE_SEP.join(combo) for combo in product(*spaces)]
+    joint_labels = staticmethod(joint_labels)
 
     @property
     def r(self) -> int:

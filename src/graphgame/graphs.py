@@ -3,14 +3,20 @@
 Nodes are ordered string labels; internally they are dense integer indices in
 label-table order, which fixes every deterministic ordering downstream.
 Self-loops are never stored: the adjacency predicate treats each node as
-adjacent to itself.
+adjacent to itself, and `Graph.closed_adjacency` is that predicate as a
+matrix. The closed adjacency of a strong product is the Kronecker product of
+its factors' closed adjacencies, which both `strong_product` and `factorize`
+rest on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 TUPLE_SEP = "|"
 
@@ -81,6 +87,13 @@ class Graph:
     def adjacent_indices(self, i: int, j: int) -> bool:
         """Adjacent-or-equal predicate on node indices."""
         return i == j or j in self._neighbors[i]
+
+    def closed_adjacency(self) -> np.ndarray:
+        """Boolean A + I in node order: entry (i, j) is adjacent-or-equal."""
+        closed = np.eye(self.n, dtype=bool)
+        i, j = np.array(list(self._edge_set), dtype=np.intp).reshape(-1, 2).T
+        closed[i, j] = closed[j, i] = True
+        return closed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -153,27 +166,36 @@ def induced_subgraph(g: Graph, members: Iterable[str]) -> Graph:
     return Graph(labels, edges)
 
 
+def joint_labels(axes: Sequence[Sequence[str]]) -> list[str]:
+    """Tuple labels over the axes in row-major order (last axis fastest)."""
+    return [TUPLE_SEP.join(combo) for combo in product(*axes)]
+
+
+def _closed_product(factors: Sequence[Graph]) -> np.ndarray:
+    """Closed adjacency of the strong product, in `joint_labels` order."""
+    return reduce(np.kron, [f.closed_adjacency() for f in factors])
+
+
+def _upper_edges(labels: Sequence[str], closed: np.ndarray) -> list[tuple[str, str]]:
+    """Edges of the graph on `labels` whose closed adjacency is `closed`, in
+    row-major order."""
+    return [(labels[i], labels[j]) for i, j in np.argwhere(np.triu(closed, 1)).tolist()]
+
+
 def strong_product(factors: Sequence[Graph]) -> Graph:
     """Product graph: distinct tuples are adjacent iff every coordinate pair is
-    adjacent-or-equal in its factor."""
+    adjacent-or-equal in its factor.
+
+    Nodes are the `joint_labels` of the factors. The edges are the upper
+    triangle of the Kronecker product of the factors' closed adjacencies.
+    """
     if not factors:
         raise GraphError("strong product needs at least one factor")
     for f in factors:
         if f.n == 0:
             raise GraphError("strong product factors must be nonempty")
-    combos = list(product(*(range(f.n) for f in factors)))
-    labels = [
-        TUPLE_SEP.join(factors[a].labels[i] for a, i in enumerate(combo))
-        for combo in combos
-    ]
-    edges = []
-    for x in range(len(combos)):
-        cx = combos[x]
-        for y in range(x + 1, len(combos)):
-            cy = combos[y]
-            if all(factors[a].adjacent_indices(cx[a], cy[a]) for a in range(len(factors))):
-                edges.append((labels[x], labels[y]))
-    return Graph(labels, edges)
+    labels = joint_labels([f.labels for f in factors])
+    return Graph(labels, _upper_edges(labels, _closed_product(factors)))
 
 
 def split_label(label: str) -> tuple[str, ...]:
@@ -186,10 +208,12 @@ def factorize(
     """Recover per-axis factor graphs whose strong product equals g.
 
     The nodes of g must be tuple labels over `axis_spec` and must cover the
-    full Cartesian product of the axes. A candidate factor edge {x, y} on
-    axis h is accepted only if every joint pair differing solely in axis h by
-    x <-> y is adjacent in g; the candidates are then verified against the
-    actual product. Returns None when no factorization exists.
+    full Cartesian product of the axes. g's closed adjacency, permuted into
+    `joint_labels` order, is read as an array with one row and one column
+    index per axis. In a strong product, the entry for nodes (a, b) on the
+    axis-h line through the first node is factor h's closed adjacency at
+    (a, b), so the factors are unique and read off those lines. Returns None
+    unless the product of the factors read off is g.
     """
     axes = [tuple(axis) for axis in axis_spec]
     if not axes or any(not axis for axis in axes):
@@ -213,32 +237,17 @@ def factorize(
     if len(seen) != expected:
         raise GraphError("joint node set is not the full product of the axes")
 
-    candidates: list[Graph] = []
+    order = [g.index(label) for label in joint_labels(axes)]
+    closed = g.closed_adjacency()[np.ix_(order, order)]
+    lines = closed.reshape([len(axis) for axis in axes] * 2)
+    factors = []
     for h, axis in enumerate(axes):
-        other = [axes[j] for j in range(len(axes)) if j != h]
-        edges = []
-        for a in range(len(axis)):
-            for b in range(a + 1, len(axis)):
-                ok = True
-                for rest in product(*other):
-                    joint_a = list(rest)
-                    joint_a.insert(h, axis[a])
-                    joint_b = list(rest)
-                    joint_b.insert(h, axis[b])
-                    if not are_adjacent(
-                        g, TUPLE_SEP.join(joint_a), TUPLE_SEP.join(joint_b)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    edges.append((axis[a], axis[b]))
-        candidates.append(Graph(axis, edges))
-
-    rebuilt = strong_product(candidates)
-    if set(rebuilt.labels) != set(g.labels) or rebuilt.edge_labels() != g.edge_labels():
+        line = tuple(slice(None) if k == h else 0 for k in range(len(axes)))
+        factors.append(Graph(axis, _upper_edges(axis, lines[line + line])))
+    if not np.array_equal(_closed_product(factors), closed):
         return None
     axis_map = {label: split_label(label) for label in g.labels}
-    return Decomposition(factors=tuple(candidates), axis_map=axis_map)
+    return Decomposition(factors=tuple(factors), axis_map=axis_map)
 
 
 def path_graph(labels: Sequence[str]) -> Graph:

@@ -20,13 +20,7 @@ import numpy as np
 
 from .chains import Schedule, SupportSplitError
 from .games import GGame, Profile, is_pure_c_equilibrium
-from .graphs import (
-    Decomposition,
-    Graph,
-    NotDecomposableError,
-    factorize,
-    strong_product,
-)
+from .graphs import Decomposition, Graph, NotDecomposableError, factorize
 from .mixed import (
     Distribution,
     MixedProfile,
@@ -38,6 +32,7 @@ from .simulate import (
     Trace,
     TransitionTable,
     UniformStream,
+    _joint_trace,
     component_streams,
     cumulative_row,
     draw_index,
@@ -301,8 +296,8 @@ class RepeatedConfig:
                 raise ValueError(
                     f"factor {h} nodes do not match the coalition strategy space"
                 )
-        rebuilt = strong_product(list(factors))
-        if set(rebuilt.labels) != set(game.graph.labels) or rebuilt.edge_labels() != game.graph.edge_labels():
+        derived = factorize(game.graph, game.spaces)
+        if derived is None or derived.factors != factors:
             raise ValueError("decomposition does not reproduce the game graph")
         if isinstance(self.init, PlayersInit):
             game.validate_profile(self.init.profile)
@@ -347,10 +342,7 @@ def _table_path(
 ) -> np.ndarray:
     """A table policy's whole path, checked against the factor's edges at once."""
     path = policy._path(start, stages, stream)
-    adjacent = np.eye(factor.n, dtype=bool)
-    for i, j in factor.edge_indices:
-        adjacent[i, j] = adjacent[j, i] = True
-    bad = np.flatnonzero(~adjacent[path[:-1], path[1:]])
+    bad = np.flatnonzero(~factor.closed_adjacency()[path[:-1], path[1:]])
     if bad.size:
         t = int(bad[0]) + 1
         _check_move(factor, h, int(path[t - 1]), int(path[t]), t)
@@ -403,26 +395,6 @@ def _simulate_lockstep(
                 _check_move(factors[h], h, histories[h][-1], nxt, t)
             histories[h].append(nxt)
     return [np.asarray(hist, dtype=np.int64) for hist in histories]
-
-
-def _joint_trace(
-    config: RepeatedConfig, factor_states: list[np.ndarray], seed: int
-) -> Trace:
-    game = config.game
-    dims = game.dims
-    joint = np.ravel_multi_index(factor_states, dims)
-    labels = tuple(GGame.joint_labels(game.spaces))
-    components = tuple(
-        Trace(
-            arr,
-            config.decomposition.factors[h].labels,
-            seed,
-            np.bincount(arr, minlength=dims[h]),
-        )
-        for h, arr in enumerate(factor_states)
-    )
-    counts = np.bincount(joint, minlength=int(np.prod(dims)))
-    return Trace(joint, labels, seed, counts, components=components)
 
 
 def _stage_payoffs(game: GGame, factor_states: list[np.ndarray], coalition: int) -> np.ndarray:
@@ -492,7 +464,7 @@ def simulate_repeated(config: RepeatedConfig, seed: int) -> tuple[Trace, PayoffR
         ]
     else:
         factor_states = _simulate_lockstep(config, streams, stages)
-    trace = _joint_trace(config, factor_states, seed)
+    trace = _joint_trace(factor_states, config.game.spaces, seed)
     per = []
     for h in range(config.game.r):
         final = final_average_payoff(trace, config.game, h)

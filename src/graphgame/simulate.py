@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .chains import (
     build_kernel,
     classify_case,
 )
-from .graphs import TUPLE_SEP, Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, joint_labels
 from .mixed import Distribution
 
 
@@ -404,23 +403,24 @@ def run_product(spec: ProductChainSpec) -> Trace:
         _run_component(comp, spec.steps, stream, spec.gap_c, spec.gap_e)
         for comp, stream in zip(spec.components, streams)
     ]
-    dims = tuple(comp.graph.n for comp in spec.components)
-    joint = np.ravel_multi_index(factor_states, dims)
-    joint_labels = tuple(
-        TUPLE_SEP.join(combo)
-        for combo in product(*(comp.graph.labels for comp in spec.components))
+    return _joint_trace(
+        factor_states, [comp.graph.labels for comp in spec.components], spec.seed
     )
-    component_traces = tuple(
-        Trace(
-            arr,
-            comp.graph.labels,
-            spec.seed,
-            np.bincount(arr, minlength=comp.graph.n),
-        )
-        for comp, arr in zip(spec.components, factor_states)
+
+
+def _joint_trace(
+    factor_states: Sequence[np.ndarray], axes: Sequence[Sequence[str]], seed: int
+) -> Trace:
+    """The joint trace over the row-major product of the axes, with one
+    component trace per axis."""
+    dims = tuple(len(axis) for axis in axes)
+    joint = np.ravel_multi_index(factor_states, dims)
+    components = tuple(
+        Trace(arr, tuple(axis), seed, np.bincount(arr, minlength=len(axis)))
+        for arr, axis in zip(factor_states, axes)
     )
     counts = np.bincount(joint, minlength=int(np.prod(dims)))
-    return Trace(joint, joint_labels, spec.seed, counts, components=component_traces)
+    return Trace(joint, tuple(joint_labels(axes)), seed, counts, components=components)
 
 
 def empirical_distribution(trace: Trace) -> Distribution:
@@ -444,8 +444,4 @@ def verify_consistency(trace: Trace, g: Graph) -> bool:
         return True
     perm = np.array([g.index(lab) for lab in trace.state_labels], dtype=np.int64)
     seq = perm[trace.states]
-    adjacent = np.eye(g.n, dtype=bool)
-    for i, j in g.edge_indices:
-        adjacent[i, j] = True
-        adjacent[j, i] = True
-    return bool(np.all(adjacent[seq[:-1], seq[1:]]))
+    return bool(np.all(g.closed_adjacency()[seq[:-1], seq[1:]]))

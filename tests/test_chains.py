@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphgame.chains import (
+    DOBRUSHIN_BLOCK,
     CaseLabel,
     CaseMismatchError,
     EmptyLowSetError,
@@ -222,6 +223,17 @@ class TestDobrushin:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             dobrushin(np.array([[0.5, 0.6], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 150])
+    def test_blocks_match_direct_formula(self, n):
+        """Up to 128 states one block holds every row; from 129 on the rows
+        split into blocks, the last one partial."""
+        assert (DOBRUSHIN_BLOCK // (n * n) >= n) == (n <= 128)
+        rng = np.random.default_rng(n)
+        m = rng.dirichlet(np.full(n, 0.2), size=n)
+        m[rng.integers(n)] = np.eye(n)[rng.integers(n)]
+        direct = 1.0 - np.minimum(m[:, None, :], m[None, :, :]).sum(axis=2).min()
+        assert dobrushin(m) == direct
 
 
 class TestDobrushinBound:

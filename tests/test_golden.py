@@ -57,6 +57,10 @@ RUNS = {
     "analyze-coordination": ["analyze", COORDINATION],
     "mixed-pennies": ["mixed", PENNIES],
     "mixed-coordination": ["mixed", COORDINATION],
+    "decompose-pennies": ["decompose", PENNIES],
+    "decompose-coordination": ["decompose", COORDINATION],
+    "mcmc-build-path5": ["mcmc-build", *PATH5],
+    "mcmc-build-example-smoothed": ["mcmc-build", *EXAMPLE, "--smooth-k", "3"],
 }
 
 DIGESTS = {
@@ -65,6 +69,12 @@ DIGESTS = {
     },
     "analyze-pennies": {
         "equilibria.json": "e46d34fda833a4f01534c5dd538602ce4b9945287093be5184320d1fa42b8859",
+    },
+    "decompose-coordination": {
+        "decomposition.json": "3ea0e229f1ca93e38973ef816822f78557818962f82b5a4908d4f93f6a6dc627",
+    },
+    "decompose-pennies": {
+        "decomposition.json": "996bce8f78b7e75007e0f645e404d09b12fa156922325f2a189ed6b432b255a7",
     },
     "folk-check-coordination": {
         "folk.json": "4839a6556e00faa60421a84b849005d7b1a82ae2469f5b73cd74a4e536f92830",
@@ -77,6 +87,14 @@ DIGESTS = {
     },
     "mixed-pennies": {
         "mixed.json": "d9ecbf655a36bdd39c367c5fbdcc4e4aa359e9e611b18417a5e0d0a0e39feacb",
+    },
+    "mcmc-build-example-smoothed": {
+        "build.json": "7f205540d6c567a7cc556a7fdfc7522682f611fb0466cd52ee9ed5b4321ae241",
+        "kernel.csv": "511fdd737370a3ff60fcd0b4a32be93aa62c3f3de4548a75ab259e93c4c812d3",
+    },
+    "mcmc-build-path5": {
+        "build.json": "dc69a780e0de0697268f11d5a8c00b93023602ab4544b3e2a0cfae9dc01f73a8",
+        "kernel.csv": "80620bbe5e263a3049567074e1909a2ac88a2a5a9bd3c2db34054164da3705d2",
     },
     "mcmc-run-example-counterexample": {
         "empirical.csv": "00714c8b4fe0994f0d24f0c41b6b0e6cc65ca3be6b2e80376d6c6a6b4e4f3df6",

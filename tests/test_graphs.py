@@ -1,7 +1,10 @@
 import random
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgame.graphs import (
     Graph,
@@ -127,7 +130,53 @@ def brute_strong_product_edges(factors):
     return edges
 
 
+property_test = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def factor_lists(draw, min_factors=1, max_factors=3, min_nodes=1, max_nodes=5):
+    """Random factor graphs with per-factor labels, edges drawn pairwise."""
+    factors = []
+    for h in range(draw(st.integers(min_factors, max_factors))):
+        labels = [f"f{h}n{i}" for i in range(draw(st.integers(min_nodes, max_nodes)))]
+        pairs = list(combinations(labels, 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        factors.append(Graph(labels, [e for e, k in zip(pairs, keep) if k]))
+    return factors
+
+
+def networkx_strong_product_edges(factors):
+    """Edge set of networkx's strong product, folded left over the factors."""
+    def to_nx(f):
+        g = nx.Graph()
+        g.add_nodes_from((lab,) for lab in f.labels)
+        g.add_edges_from(((u,), (v,)) for u, v in map(tuple, f.edge_labels()))
+        return g
+
+    prod = to_nx(factors[0])
+    for f in factors[1:]:
+        prod = nx.relabel_nodes(
+            nx.strong_product(prod, to_nx(f)), lambda node: node[0] + node[1]
+        )
+    return {frozenset(TUPLE_SEP.join(node) for node in e) for e in prod.edges}
+
+
+def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
+    order = list(g.labels)
+    rng.shuffle(order)
+    return Graph(order, map(tuple, g.edge_labels()))
+
+
 class TestStrongProduct:
+    @property_test
+    @given(factor_lists())
+    def test_matches_networkx(self, factors):
+        prod = strong_product(factors)
+        assert prod.labels == tuple(
+            TUPLE_SEP.join(combo) for combo in product(*(f.labels for f in factors))
+        )
+        assert prod.edge_labels() == networkx_strong_product_edges(factors)
+
     def test_k2_k2_is_k4(self):
         k2a = complete_graph(["0", "1"])
         k2b = complete_graph(["x", "y"])
@@ -202,6 +251,29 @@ class TestFactorize:
             assert dec.axis_map[prod.labels[0]] == tuple(
                 f.labels[0] for f in factors
             )
+
+    @property_test
+    @given(factor_lists(), st.randoms(use_true_random=False))
+    def test_shuffled_node_order_returns_factors(self, factors, rng):
+        g = shuffled_copy(strong_product(factors), rng)
+        dec = factorize(g, [f.labels for f in factors])
+        assert dec is not None
+        assert dec.factors == tuple(factors)
+
+    @property_test
+    @given(
+        factor_lists(min_factors=2, min_nodes=2, max_nodes=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_one_edge_added_or_removed_is_not_a_product(self, factors, rng):
+        """Every axis line of a strong product induces its factor. With two
+        or more factors of two or more nodes, each axis has a line the changed
+        edge does not lie on, so any factorization would have the original
+        factors, whose product lacks the change."""
+        prod = strong_product(factors)
+        flip = frozenset(rng.choice(list(combinations(prod.labels, 2))))
+        g = shuffled_copy(Graph(prod.labels, map(tuple, prod.edge_labels() ^ {flip})), rng)
+        assert factorize(g, [f.labels for f in factors]) is None
 
     def test_rejects_partial_product_node_set(self):
         g = Graph(["a|x", "a|y", "b|x"], [])

@@ -8,6 +8,7 @@ import pytest
 from graphgame.chains import CaseLabel, Schedule, SupportSplitError, TransitionKernel
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
 from graphgame.graphs import (
+    Decomposition,
     Graph,
     NotDecomposableError,
     complete_graph,
@@ -656,6 +657,24 @@ class TestConfigValidation:
             RepeatedConfig(
                 game=game,
                 decomposition=other,
+                policies=(ScriptedPolicy([0]), ScriptedPolicy([0])),
+                init=PlayersInit((0, 0)),
+                horizon=1,
+            )
+
+    def test_factor_edges_differ_from_game_graph(self):
+        """Right factor nodes, wrong factor edges: the coordination game's
+        graph is complete, so edgeless factors do not reproduce it."""
+        game = coordination_game()
+        factors = tuple(edgeless_graph(space) for space in game.spaces)
+        hand_built = Decomposition(
+            factors=factors,
+            axis_map={label: tuple(label.split("|")) for label in game.graph.labels},
+        )
+        with pytest.raises(ValueError, match="does not reproduce the game graph"):
+            RepeatedConfig(
+                game=game,
+                decomposition=hand_built,
                 policies=(ScriptedPolicy([0]), ScriptedPolicy([0])),
                 init=PlayersInit((0, 0)),
                 horizon=1,

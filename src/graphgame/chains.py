@@ -332,12 +332,15 @@ class Schedule:
 
         Converges far too fast for the empirical law to track the target;
         the chain freezes near its starting state instead. The exponent is
-        capped so hop probabilities stay representable in float64.
+        capped so hop probabilities stay representable in float64; the level
+        is then fixed from interval `max_exponent` on, so that interval is the
+        open-ended last one.
         """
         return cls(
             "counterexample",
             lambda l: l,
             smoothing_fn=lambda l: 2 ** min(l, max_exponent),
+            max_intervals=max(max_exponent, 1),
         )
 
     @property

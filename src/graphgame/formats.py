@@ -8,15 +8,17 @@ re-running a command reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
+from itertools import product
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .chains import TransitionKernel
 from .games import CoalitionStructure, GGame
-from .graphs import Graph
+from .graphs import TUPLE_SEP, Graph
 from .mixed import Distribution, MixedProfile
 from .simulate import Trace
 
@@ -115,6 +117,12 @@ def game_from_dict(data: dict, base_dir: Path | None = None) -> GGame:
     ):
         raise FormatError("'strategies' must list one nonempty space per coalition")
     spaces = tuple(tuple(str(x) for x in space) for space in strategies)
+    for space in spaces:
+        for label in space:
+            if TUPLE_SEP in label:
+                raise FormatError(
+                    f"strategy label {label!r} contains the tuple separator {TUPLE_SEP!r}"
+                )
     dims = tuple(len(s) for s in spaces)
     total = int(np.prod(dims))
 
@@ -209,10 +217,9 @@ def mixed_from_dict(data: dict, game: GGame) -> MixedProfile:
 
 def dump_kernel_csv(kernel: TransitionKernel, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(kernel.state_labels)
+        csv.writer(fh, lineterminator="\n").writerow(kernel.state_labels)
         for row in kernel.matrix:
-            writer.writerow([fmt_float(x) for x in row])
+            fh.write(",".join(map(fmt_float, row.tolist())) + "\n")
 
 
 def load_kernel_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -227,26 +234,45 @@ def load_kernel_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, matrix
 
 
+_TRACE_ROWS = 1 << 12  # rows joined per write, which bounds the writer's memory
+
+
+def _csv_cells(labels: Sequence[str]) -> list[str]:
+    """Each label as csv.writer writes it in a row of two or more fields
+    (only a row holding one empty field quotes it)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(("", label))
+        cells.append(buf.getvalue()[1:-1])
+    return cells
+
+
 def dump_trace_csv(trace: Trace, path: Path) -> None:
-    """Columns: t plus one state label per component (single column for a
-    plain trace)."""
+    """Columns `t,state` for a plain trace; `t,state_C1,state_C2,...` for a
+    joint trace, one label per component read from the component traces.
+
+    The bytes are those a row-by-row csv.writer writes: the text after `t`
+    is quoted once per state (per joint index, row-major over the component
+    labels), and rows are joined and written in blocks of `_TRACE_ROWS`.
+    """
+    if trace.components is None:
+        parts, names = (trace,), ["state"]
+    else:
+        parts = trace.components
+        names = [f"state_{coalition_name(h)}" for h in range(len(parts))]
+    cells = [_csv_cells(part.state_labels) for part in parts]
+    tails = ["," + ",".join(combo) + "\n" for combo in product(*cells)]
+    dims = [len(part.state_labels) for part in parts]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if trace.components is None:
-            writer.writerow(["t", "state"])
-            labels = trace.state_labels
-            for t, s in enumerate(trace.states.tolist()):
-                writer.writerow([t, labels[s]])
-        else:
-            writer.writerow(
-                ["t"] + [f"state_{coalition_name(h)}" for h in range(len(trace.components))]
-            )
-            columns = [c.states.tolist() for c in trace.components]
-            label_sets = [c.state_labels for c in trace.components]
-            for t in range(trace.length):
-                writer.writerow(
-                    [t] + [label_sets[h][columns[h][t]] for h in range(len(columns))]
-                )
+        csv.writer(fh, lineterminator="\n").writerow(["t"] + names)
+        for start in range(0, trace.length, _TRACE_ROWS):
+            columns = [part.states[start : start + _TRACE_ROWS] for part in parts]
+            block = np.ravel_multi_index(columns, dims).tolist()
+            fh.write("".join([f"{t}{tails[s]}" for t, s in enumerate(block, start)]))
 
 
 def dump_empirical_csv(trace: Trace, path: Path) -> None:

@@ -337,6 +337,9 @@ class TestSchedule:
         assert [sched.time_at(l) for l in (1, 2, 3)] == [1, 2, 3]
         assert sched.smoothing_index(3) == 8
         assert sched.smoothing_index(100) == 2**50  # float-precision cap
+        for max_exponent in (1, 5, 50):
+            capped = Schedule.counterexample(max_exponent)
+            assert capped.interval_index(10**6) == max_exponent
 
 
 class TestKernelFamily:

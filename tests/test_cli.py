@@ -280,7 +280,21 @@ EXAMPLE = [
     str(FIXTURES / "chain_example_target.json"),
 ]
 
-# argv without --out; "{target}" stands for a target file the case writes
+# a 2x2 game whose first strategy label holds the tuple separator "|"
+SEPARATOR_GAME = json.dumps(
+    {
+        "players": 2,
+        "coalitions": [[1], [2]],
+        "strategies": [["x|y", "z"], ["a", "b"]],
+        "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]],
+        "graph": {
+            "nodes": ["x|y|a", "x|y|b", "z|a", "z|b"],
+            "edges": [["x|y|a", "x|y|b"], ["x|y|a", "z|a"], ["x|y|b", "z|b"], ["z|a", "z|b"]],
+        },
+    }
+)
+
+# argv without --out; "{target}" stands for an input file the case writes
 INPUT_ERRORS = {
     "nan-mass": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": NaN, "b": 1.0}'),
     "infinite-mass": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": Infinity}'),
@@ -299,6 +313,8 @@ INPUT_ERRORS = {
     "non-integer-powergap": (
         ["mcmc-run", *EXAMPLE, "--steps", "100", "--schedule", "powergap:x:3"], None
     ),
+    "separator-label-decompose": (["decompose", "{target}"], SEPARATOR_GAME),
+    "separator-label-repeated": (["repeated", "{target}"], SEPARATOR_GAME),
 }
 
 

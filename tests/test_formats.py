@@ -1,11 +1,15 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from graphgame.chains import build_kernel
 from graphgame.formats import (
+    _TRACE_ROWS,
     FormatError,
     dump_empirical_csv,
     dump_graph,
@@ -25,7 +29,7 @@ from graphgame.formats import (
 )
 from graphgame.graphs import Graph, path_graph
 from graphgame.mixed import Distribution, MixedProfile
-from graphgame.simulate import Trace, run_homogeneous
+from graphgame.simulate import Trace, _joint_trace, run_homogeneous
 
 from conftest import matching_pennies
 
@@ -145,6 +149,63 @@ class TestMixedFormat:
             mixed_from_dict({"C1": [1.0, 0.0]}, matching_pennies())
 
 
+def row_writer_trace_csv(trace: Trace, path: Path) -> None:
+    """Reference: the trace CSV written one csv.writer row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if trace.components is None:
+            writer.writerow(["t", "state"])
+            for t, s in enumerate(trace.states.tolist()):
+                writer.writerow([t, trace.state_labels[s]])
+        else:
+            comps = trace.components
+            writer.writerow(["t"] + [f"state_C{h + 1}" for h in range(len(comps))])
+            columns = [c.states.tolist() for c in comps]
+            for t in range(trace.length):
+                writer.writerow(
+                    [t] + [c.state_labels[col[t]] for c, col in zip(comps, columns)]
+                )
+
+
+# labels csv.writer must quote or keep as they are, then arbitrary text
+LABEL = st.one_of(
+    st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", " ", " a b ", "a,\"b\"", "é", "状態"]),
+    st.text(max_size=6),
+)
+# None: a plain trace over one label list; otherwise the label lists of 1-3
+# components of a joint trace
+SPACES = st.one_of(
+    st.lists(LABEL, min_size=1, max_size=6).map(lambda labels: (None, labels)),
+    st.lists(st.lists(LABEL, min_size=1, max_size=4), min_size=1, max_size=3).map(
+        lambda axes: ("joint", axes)
+    ),
+)
+
+
+def trace_property(max_examples: int, phases=tuple(Phase)):
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        phases=phases,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+def assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path):
+    kind, labels = spaces
+    rng = np.random.default_rng(seed)
+    if kind is None:
+        states = rng.integers(0, len(labels), size=length)
+        trace = Trace(states, tuple(labels), seed, np.bincount(states, minlength=len(labels)))
+    else:
+        factor_states = [rng.integers(0, len(axis), size=length) for axis in labels]
+        trace = _joint_trace(factor_states, labels, seed)
+    dump_trace_csv(trace, tmp_path / "fast.csv")
+    row_writer_trace_csv(trace, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 class TestCsvFormats:
     def test_kernel_round_trip_exact(self, tmp_path):
         kernel = build_kernel(
@@ -173,6 +234,21 @@ class TestCsvFormats:
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "t,state_C1,state_C2"
         assert lines[1:] == ["0,a,y", "1,b,y"]
+
+    @pytest.mark.parametrize("length", [1, 10, 11, 100])
+    @given(spaces=SPACES, seed=st.integers(0, 2**32 - 1))
+    @trace_property(max_examples=50)
+    def test_trace_csv_matches_row_writer(self, length, spaces, seed, tmp_path):
+        assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path)
+
+    @pytest.mark.parametrize(
+        "length", [_TRACE_ROWS - 1, _TRACE_ROWS, _TRACE_ROWS + 1, 65_535, 65_536, 65_537]
+    )
+    @given(spaces=SPACES, seed=st.integers(0, 2**32 - 1))
+    # shrinking a failing example this long would take minutes; report it as found
+    @trace_property(max_examples=8, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_trace_csv_matches_row_writer_at_block_edges(self, length, spaces, seed, tmp_path):
+        assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path)
 
     def test_empirical_csv(self, tmp_path):
         kernel = build_kernel(

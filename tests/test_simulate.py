@@ -25,9 +25,11 @@ from graphgame.mixed import Distribution, total_variation
 from graphgame.simulate import (
     ComponentSpec,
     ProductChainSpec,
+    Realization,
     Trace,
     empirical_distribution,
     ergodic_average,
+    make_stream,
     run_homogeneous,
     run_nonhomogeneous,
     run_product,
@@ -132,6 +134,23 @@ class TestNonhomogeneous:
             if trace.counts[0] / trace.length >= 0.9:
                 stuck += 1
         assert stuck >= 9
+
+    def test_saturated_counterexample_is_one_segment(self, example_graph):
+        mu = dist(0.5, 0.5, 0.0, 0.0)
+        sched = Schedule.counterexample()
+        realization = Realization(mu, example_graph, lambda: sched)
+        steps = 10**6
+        states = np.empty(steps, dtype=np.int64)
+        realization.run(1, steps, make_stream(3), states)
+        kernel = realization.kernel_at(steps - 2)
+        assert len(sched._times) <= 50 + 2
+        # the same schedule without an open-ended last interval, walked one by one
+        walked = Schedule("counterexample", lambda l: l, smoothing_fn=lambda l: 2 ** min(l, 50))
+        reference = Realization(mu, example_graph, lambda: walked)
+        prefix = np.empty(5000, dtype=np.int64)
+        reference.run(1, prefix.size, make_stream(3), prefix)
+        assert np.array_equal(states[: prefix.size], prefix)
+        assert np.array_equal(kernel.matrix, reference.kernel_at(prefix.size).matrix)
 
     def test_split_support_rejected(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])

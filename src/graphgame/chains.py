@@ -205,9 +205,10 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
     """Contraction coefficient: one minus the minimal row overlap.
 
-    The overlaps of every row with all rows are computed for a block of rows
-    at a time, at most DOBRUSHIN_BLOCK values (one row when n * n exceeds
-    it), so memory grows as n**2, not n**3.
+    With no negative entry, rows of disjoint supports (a zero in S S^T, S the
+    support indicator) overlap by 0, the least possible, so the result is 1.0.
+    Otherwise the overlaps are computed for at most DOBRUSHIN_BLOCK values (one
+    row when n * n exceeds it) at a time, so memory grows as n**2, not n**3.
     """
     m = kernel.matrix if isinstance(kernel, TransitionKernel) else np.asarray(kernel, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -216,6 +217,10 @@ def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
         np.abs(m.sum(axis=1) - 1.0) > STOCHASTIC_TOL
     ):
         raise ValueError("matrix is not row-stochastic")
+    if np.all(m >= 0):
+        support = (m > 0).astype(np.float32)
+        if not np.all(support @ support.T):
+            return 1.0
     rows = max(1, DOBRUSHIN_BLOCK // max(1, m.size))
     overlap = min(
         np.minimum(m[i : i + rows, None, :], m[None, :, :]).sum(axis=2).min()

@@ -27,7 +27,7 @@ from .chains import (
     smooth,
     stationary_distribution,
 )
-from .games import pure_c_equilibria, violation_witness
+from .games import pure_c_equilibria
 from .graphs import NotDecomposableError
 from .mixed import (
     MixedProfile,
@@ -98,16 +98,14 @@ def cmd_analyze(args) -> int:
     game = formats.load_game(args.game)
     out = _out_dir(args)
     equilibria = pure_c_equilibria(game)
-    violations = {}
-    for prof in game.profiles():
-        if prof in equilibria:
-            continue
-        h, other, gain = violation_witness(game, prof)
-        violations[game.label_of(prof)] = {
+    violations = {
+        game.label_of(prof): {
             "coalition": formats.coalition_name(h),
             "adjacent_profile": game.label_of(other),
             "gain": gain,
         }
+        for prof, (h, other, gain) in equilibria.violations.items()
+    }
     labels = sorted(game.label_of(p) for p in equilibria)
     formats.dump_json(
         {"equilibria": labels, "violations": violations}, out / "equilibria.json"

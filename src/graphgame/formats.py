@@ -42,10 +42,8 @@ def coalition_name(index: int) -> str:
 # -- graphs -----------------------------------------------------------------
 
 def graph_to_dict(g: Graph) -> dict:
-    edges = sorted(
-        sorted(tuple(e)) for e in (tuple(x) for x in g.edge_labels())
-    )
-    return {"nodes": list(g.labels), "edges": [list(e) for e in edges]}
+    edges = sorted(sorted((g.labels[i], g.labels[j])) for i, j in g.edges.tolist())
+    return {"nodes": list(g.labels), "edges": edges}
 
 
 def graph_from_dict(data: dict) -> Graph:
@@ -56,13 +54,13 @@ def graph_from_dict(data: dict) -> Graph:
         raise FormatError("graph document needs 'nodes' and 'edges'") from exc
     if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
         raise FormatError("graph 'nodes' must be a list of strings")
-    pairs = []
+    if not isinstance(edges, list):
+        raise FormatError("graph 'edges' must be a list of node pairs")
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise FormatError(f"edge {e!r} is not a two-element list")
-        pairs.append((e[0], e[1]))
     try:
-        return Graph(nodes, pairs)
+        return Graph(nodes, edges)
     except Exception as exc:
         raise FormatError(str(exc)) from exc
 
@@ -216,10 +214,14 @@ def mixed_from_dict(data: dict, game: GGame) -> MixedProfile:
 # -- CSV artifacts ----------------------------------------------------------
 
 def dump_kernel_csv(kernel: TransitionKernel, path: Path) -> None:
+    """One row per state; `fmt_float` formats only nonzero and -0.0 cells."""
+    cells = np.full(kernel.matrix.shape, "0", dtype=object)
+    written = (kernel.matrix != 0) | np.signbit(kernel.matrix)
+    cells[written] = [fmt_float(x) for x in kernel.matrix[written].tolist()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(kernel.state_labels)
-        for row in kernel.matrix:
-            fh.write(",".join(map(fmt_float, row.tolist())) + "\n")
+        for row in cells:
+            fh.write(",".join(row.tolist()) + "\n")
 
 
 def load_kernel_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:

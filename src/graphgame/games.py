@@ -18,7 +18,13 @@ import numpy as np
 from .graphs import TUPLE_SEP, Graph, joint_labels
 
 Profile = tuple[int, ...]
-EquilibriumSet = frozenset  # of Profile; every member passes is_pure_c_equilibrium
+
+
+class EquilibriumSet(frozenset):
+    """The profiles that pass `is_pure_c_equilibrium`; `violations` maps every
+    other profile to its `violation_witness`."""
+
+    __slots__ = ("violations",)
 
 
 @dataclass(frozen=True)
@@ -213,5 +219,29 @@ def violation_witness(
 
 
 def pure_c_equilibria(game: GGame) -> EquilibriumSet:
-    """Exact enumeration of the pure equilibria; may be empty."""
-    return frozenset(s for s in game.profiles() if is_pure_c_equilibrium(game, s))
+    """Exact enumeration of the pure equilibria; may be empty. One pass over
+    the neighbour arrays finds each arc s -> t's gain for each coalition h
+    from taking its block of t into s; a profile's first positive gain,
+    neighbours ascending and then coalitions, is its `violation_witness`."""
+    g, r = game.graph, game.r
+    flat = np.argsort(game._node_of_profile, axis=None, kind="stable")  # node -> profile
+    coords = np.unravel_index(flat, game.dims)
+    src, dst = np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices
+    gains = np.empty((len(dst), r))
+    for h in range(r):
+        own = game.payoffs[h].ravel()
+        move = (coords[h][dst] - coords[h][src]) * int(np.prod(game.dims[h + 1 :]))
+        gains[:, h] = own[flat[src] + move] - own[flat[src]]
+    hits = np.flatnonzero(gains > 0)  # by arc, then coalition
+    hits = hits[np.diff(src[hits // r], prepend=-1) > 0]  # each source's first
+    arcs, profile_of = hits // r, game._profile_of_node
+    violations = {
+        profile_of[s]: (h, profile_of[t], gain)
+        for s, t, h, gain in zip(
+            src[arcs].tolist(), dst[arcs].tolist(), (hits % r).tolist(),
+            gains.flat[hits].tolist(),
+        )
+    }
+    result = EquilibriumSet(p for p in profile_of if p not in violations)
+    result.violations = violations
+    return result

@@ -30,35 +30,48 @@ class NotDecomposableError(GraphError):
 
 
 class Graph:
-    """Immutable undirected simple graph over ordered, labeled nodes."""
+    """Immutable undirected simple graph over ordered, labeled nodes: `edges`
+    holds the sorted index pairs (i, j), i < j, and the neighbours of i,
+    ascending, are `indices[indptr[i]:indptr[i + 1]]` (compressed sparse rows)."""
 
-    __slots__ = ("labels", "_index", "_neighbors", "_edge_set")
+    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_given", "_closed", "_sets")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labels = tuple(nodes)
-        if len(set(labels)) != len(labels):
-            raise GraphError("duplicate node labels")
         index = {lab: i for i, lab in enumerate(labels)}
-        neighbors: list[set[int]] = [set() for _ in labels]
-        edge_set: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u not in index:
-                raise GraphError(f"unknown node {u!r} in edge")
-            if v not in index:
-                raise GraphError(f"unknown node {v!r} in edge")
-            i, j = index[u], index[v]
-            if i == j:
+        if len(index) != len(labels):
+            raise GraphError("duplicate node labels")
+        pairs = list(edges)
+        # node index of each endpoint, -1 for an unknown label
+        u_ids = np.array([index.get(u, -1) for u, _ in pairs], dtype=np.intp)
+        v_ids = np.array([index.get(v, -1) for _, v in pairs], dtype=np.intp)
+        n = len(labels)
+        lo, hi = np.minimum(u_ids, v_ids), np.maximum(u_ids, v_ids)
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")  # equal keys stay in input order
+        keys = keys[order]
+        bad = (lo < 0) | (lo == hi)
+        bad[order[1:][keys[1:] == keys[:-1]]] = True  # repeats of an earlier edge
+        if bad.any():
+            k = int(bad.argmax())
+            u, v = pairs[k]
+            if lo[k] < 0:
+                raise GraphError(f"unknown node {(u if u_ids[k] < 0 else v)!r} in edge")
+            if lo[k] == hi[k]:
                 raise GraphError(f"self-loop on {u!r} (self-adjacency is implicit)")
-            key = (i, j) if i < j else (j, i)
-            if key in edge_set:
-                raise GraphError(f"duplicate edge {{{u!r}, {v!r}}}")
-            edge_set.add(key)
-            neighbors[i].add(j)
-            neighbors[j].add(i)
+            raise GraphError(f"duplicate edge {{{u!r}, {v!r}}}")
         self.labels = labels
         self._index = index
-        self._neighbors = tuple(frozenset(s) for s in neighbors)
-        self._edge_set = frozenset(edge_set)
+        self.edges = np.stack(np.divmod(keys, n), axis=1)
+        self._given = order  # input position of each sorted edge
+        # a key src * n + dst per direction, sorted: each node's neighbours ascending
+        arcs = np.concatenate([keys, self.edges[:, 1] * n + self.edges[:, 0]])
+        arcs = arcs[np.argsort(arcs, kind="stable")]
+        self.indices = arcs % n
+        self.indptr = np.concatenate([[0], np.bincount(arcs // n, minlength=n).cumsum()])
+        for array in (self.edges, self.indices, self.indptr, order):
+            array.setflags(write=False)
+        self._closed = self._sets = None
 
     @property
     def n(self) -> int:
@@ -66,12 +79,19 @@ class Graph:
 
     @property
     def edge_indices(self) -> frozenset[tuple[int, int]]:
-        """Stored edges as (i, j) index pairs with i < j."""
-        return self._edge_set
+        """Stored edges as (i, j) index pairs with i < j. Like the neighbour
+        sets, the set is filled in input order and then frozen."""
+        return frozenset(set(map(tuple, self._edges_as_given())))
+
+    def _edges_as_given(self) -> list[list[int]]:
+        """The (i, j) rows of `edges` in the order the constructor got them."""
+        given = np.empty_like(self.edges)
+        given[self._given] = self.edges
+        return given.tolist()
 
     def edge_labels(self) -> frozenset[frozenset[str]]:
         return frozenset(
-            frozenset((self.labels[i], self.labels[j])) for i, j in self._edge_set
+            frozenset((self.labels[i], self.labels[j])) for i, j in self.edges.tolist()
         )
 
     def index(self, label: str) -> int:
@@ -82,29 +102,44 @@ class Graph:
 
     def neighbors(self, i: int) -> frozenset[int]:
         """Strict neighbors of node index i (self excluded)."""
-        return self._neighbors[i]
+        return (self._sets or self._neighbor_sets())[i]
 
     def adjacent_indices(self, i: int, j: int) -> bool:
         """Adjacent-or-equal predicate on node indices."""
-        return i == j or j in self._neighbors[i]
+        return i == j or j in (self._sets or self._neighbor_sets())[i]
+
+    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Every node's neighbour set, cached. The sets are filled edge by edge
+        in input order and then frozen, which fixes their iteration order:
+        `chains.build_kernel` sums floats in that order."""
+        sets: list[set[int]] = [set() for _ in self.labels]
+        for i, j in self._edges_as_given():
+            sets[i].add(j)
+            sets[j].add(i)
+        self._sets = tuple(frozenset(s) for s in sets)
+        return self._sets
 
     def closed_adjacency(self) -> np.ndarray:
-        """Boolean A + I in node order: entry (i, j) is adjacent-or-equal."""
-        closed = np.eye(self.n, dtype=bool)
-        i, j = np.array(list(self._edge_set), dtype=np.intp).reshape(-1, 2).T
-        closed[i, j] = closed[j, i] = True
-        return closed
+        """Boolean A + I in node order: entry (i, j) is adjacent-or-equal.
+        Built on first use, cached and read-only."""
+        if self._closed is None:
+            closed = np.eye(self.n, dtype=bool)
+            i, j = self.edges.T
+            closed[i, j] = closed[j, i] = True
+            closed.setflags(write=False)
+            self._closed = closed
+        return self._closed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self._edge_set == other._edge_set
+        return self.labels == other.labels and np.array_equal(self.edges, other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self._edge_set))
+        return hash((self.labels, self.edge_indices))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.labels)} nodes, {len(self._edge_set)} edges)"
+        return f"Graph({len(self.labels)} nodes, {len(self.edges)} edges)"
 
 
 @dataclass(frozen=True)

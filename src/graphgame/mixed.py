@@ -200,16 +200,17 @@ def _support_enumeration_two(game: GGame, certify_tol: float) -> MixedProfile:
     a, b = game.payoffs
     m, n = game.dims
     for supp_x, supp_y in _support_pairs(m, n):
-        x = _equalizing_mixture(b[np.ix_(supp_x, supp_y)].T)
+        ix, iy = np.array(supp_x), np.array(supp_y)
+        x = _equalizing_mixture(b[ix[:, None], iy].T)
         if x is None:
             continue
-        y = _equalizing_mixture(a[np.ix_(supp_x, supp_y)])
+        y = _equalizing_mixture(a[ix[:, None], iy])
         if y is None:
             continue
         fx = np.zeros(m)
-        fx[list(supp_x)] = x
+        fx[ix] = x
         fy = np.zeros(n)
-        fy[list(supp_y)] = y
+        fy[iy] = y
         candidate = MixedProfile((Distribution(fx), Distribution(fy)))
         if is_mixed_c_equilibrium(game, candidate, tol=certify_tol):
             return candidate
@@ -229,7 +230,8 @@ def _equalizing_mixture(mat: np.ndarray) -> np.ndarray | None:
     rhs[rows] = 1.0
     # underdetermined systems are fine; lstsq picks the minimum-norm solution
     sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    if not np.allclose(system @ sol, rhs, atol=1e-9):
+    # np.allclose(system @ sol, rhs, atol=1e-9), written out
+    if not np.all(np.abs(system @ sol - rhs) <= 1e-9 + 1e-5 * np.abs(rhs)):
         return None
     x = sol[:size]
     if np.any(x < -1e-9):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgame.chains import (
     DOBRUSHIN_BLOCK,
@@ -199,6 +201,17 @@ class TestBuildKernel:
             TransitionKernel(np.array([[np.nan, 0.5], [0.5, 0.5]]), ("a", "b"), 0.1)
 
 
+def blocked_dobrushin(m: np.ndarray) -> float:
+    """The blocked row-overlap formula alone, without the disjoint-support
+    exit; the reference for `dobrushin`."""
+    rows = max(1, DOBRUSHIN_BLOCK // max(1, m.size))
+    overlap = min(
+        np.minimum(m[i : i + rows, None, :], m[None, :, :]).sum(axis=2).min()
+        for i in range(0, m.shape[0], rows)
+    )
+    return float(1.0 - overlap)
+
+
 class TestDobrushin:
     def test_identity(self):
         assert dobrushin(np.eye(3)) == 1.0
@@ -234,6 +247,54 @@ class TestDobrushin:
         m[rng.integers(n)] = np.eye(n)[rng.integers(n)]
         direct = 1.0 - np.minimum(m[:, None, :], m[None, :, :]).sum(axis=2).min()
         assert dobrushin(m) == direct
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        shape=st.sampled_from(["star", "path"]),
+        n=st.integers(4, 40),
+        extra=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_disjoint_supports_give_exactly_one(self, shape, n, extra, seed):
+        """A star with any chords has diameter <= 2, so every two states
+        share a closed neighbour. A path v0 - ... - v(n-1) with chords only
+        among v0..v(n-4) keeps v(n-1) three steps from v(n-4), and the
+        kernel rows of those two states are disjoint."""
+        rng = random.Random(seed)
+        labels = [f"v{i}" for i in range(n)]
+        if shape == "star":
+            edges = {(0, i) for i in range(1, n)}
+            chord_nodes = n
+        else:
+            edges = {(i, i + 1) for i in range(n - 1)}
+            chord_nodes = n - 3
+        edges |= {
+            (i, j) for i in range(chord_nodes) for j in range(i + 2, chord_nodes)
+            if rng.random() < extra
+        }
+        order = labels[:]
+        rng.shuffle(order)
+        g = Graph(order, [(labels[i], labels[j]) for i, j in sorted(edges)])
+        target = Distribution(np.random.default_rng(seed).dirichlet(np.ones(n)))
+        kernel = build_kernel(target, g)
+        assert dobrushin(kernel) == blocked_dobrushin(kernel.matrix)
+        assert (dobrushin(kernel) == 1.0) == (shape == "path")
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+    def test_tiny_negative_entries_take_the_blocked_formula(self, n, seed):
+        """Entries down to -1e-9 are accepted. A row with a tiny negative
+        entry can overlap a disjoint row by less than 0, so the coefficient
+        is not exactly 1.0 and must come from the blocked formula."""
+        rng = np.random.default_rng(seed)
+        m = np.eye(n)
+        col = rng.integers(n, size=n)
+        tiny = rng.uniform(1e-15, 1e-10, size=n) * (col != np.arange(n))
+        m[np.arange(n), col] -= tiny
+        m[np.arange(n), np.arange(n)] += tiny
+        assert dobrushin(m) == blocked_dobrushin(m)
+        if tiny.any():
+            assert dobrushin(m) > 1.0
 
 
 class TestDobrushinBound:

@@ -294,6 +294,17 @@ SEPARATOR_GAME = json.dumps(
     }
 )
 
+# a 2x2 game whose inline graph lists its edges as a number, not a list
+EDGES_NOT_A_LIST_GAME = json.dumps(
+    {
+        "players": 2,
+        "coalitions": [[1], [2]],
+        "strategies": [["x", "z"], ["a", "b"]],
+        "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]],
+        "graph": {"nodes": ["x|a", "x|b", "z|a", "z|b"], "edges": 5},
+    }
+)
+
 # argv without --out; "{target}" stands for an input file the case writes
 INPUT_ERRORS = {
     "nan-mass": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": NaN, "b": 1.0}'),
@@ -315,6 +326,10 @@ INPUT_ERRORS = {
     ),
     "separator-label-decompose": (["decompose", "{target}"], SEPARATOR_GAME),
     "separator-label-repeated": (["repeated", "{target}"], SEPARATOR_GAME),
+    "edges-not-a-list-graph": (
+        ["mcmc-build", "{target}", UNIFORM5], '{"nodes": ["a", "b"], "edges": 5}'
+    ),
+    "edges-not-a-list-game": (["analyze", "{target}"], EDGES_NOT_A_LIST_GAME),
 }
 
 

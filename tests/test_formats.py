@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from graphgame.chains import build_kernel
+from graphgame.chains import TransitionKernel, build_kernel
 from graphgame.formats import (
     _TRACE_ROWS,
     FormatError,
@@ -167,6 +167,22 @@ def row_writer_trace_csv(trace: Trace, path: Path) -> None:
                 )
 
 
+def cell_writer_kernel_csv(kernel, path: Path) -> None:
+    """Reference: the kernel CSV with every cell formatted by fmt_float."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(kernel.state_labels)
+        for row in kernel.matrix:
+            fh.write(",".join(map(fmt_float, row.tolist())) + "\n")
+
+
+# entries of a dense kernel row: zeros of both signs, subnormals, and floats
+# small enough that 11 of them leave the diagonal above 1/2
+DENSE_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(min_value=0.0, max_value=0.04),
+)
+
+
 # labels csv.writer must quote or keep as they are, then arbitrary text
 LABEL = st.one_of(
     st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", " ", " a b ", "a,\"b\"", "é", "状態"]),
@@ -249,6 +265,28 @@ class TestCsvFormats:
     @trace_property(max_examples=8, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_trace_csv_matches_row_writer_at_block_edges(self, length, spaces, seed, tmp_path):
         assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path)
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        dense=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    @trace_property(max_examples=200)
+    def test_kernel_csv_matches_cell_writer(self, data, n, dense, tmp_path):
+        """Rows are dense, or hold only signed zeros and subnormals off the
+        diagonal, which leaves the diagonal exactly 1.0."""
+        matrix = np.zeros((n, n))
+        for i in range(n):
+            cells = DENSE_CELL if dense[i] else st.sampled_from([0.0, -0.0, 5e-324, 1e-310])
+            row = data.draw(st.lists(cells, min_size=n, max_size=n))
+            row[i] = 0.0
+            row[i] = 1.0 - sum(row)
+            matrix[i] = row
+        labels = data.draw(st.lists(LABEL, min_size=n, max_size=n))
+        kernel = TransitionKernel(matrix, tuple(labels), 0.0)
+        dump_kernel_csv(kernel, tmp_path / "sparse.csv")
+        cell_writer_kernel_csv(kernel, tmp_path / "cells.csv")
+        assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     def test_empirical_csv(self, tmp_path):
         kernel = build_kernel(

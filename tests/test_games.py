@@ -1,8 +1,15 @@
 import random
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphgame import formats
+from graphgame.cli import main
 
 from graphgame.games import (
     CoalitionStructure,
@@ -169,6 +176,71 @@ class TestPureEquilibrium:
                     assert gain > 0
                     cand = prof[:h] + (other[h],) + prof[h + 1 :]
                     assert game.payoff(h, cand) - game.payoff(h, prof) == gain
+
+
+def reference_analysis(game):
+    """`analyze`'s document as built from the scalar predicates: one
+    `is_pure_c_equilibrium` scan, then `violation_witness` per violator."""
+    equilibria = frozenset(s for s in game.profiles() if is_pure_c_equilibrium(game, s))
+    witnesses = {
+        prof: violation_witness(game, prof)
+        for prof in game.profiles()
+        if prof not in equilibria
+    }
+    doc = {
+        "equilibria": sorted(game.label_of(p) for p in equilibria),
+        "violations": {
+            game.label_of(prof): {
+                "coalition": formats.coalition_name(h),
+                "adjacent_profile": game.label_of(other),
+                "gain": gain,
+            }
+            for prof, (h, other, gain) in witnesses.items()
+        },
+    }
+    return equilibria, witnesses, doc
+
+
+class TestOnePassAnalysis:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+        payoffs=st.sampled_from(["ties", "floats"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_reference(self, dims, density, payoffs, seed):
+        """Random graphs on the profiles (not strong products), nodes in
+        shuffled order; integer payoffs from a small range make ties."""
+        rng = random.Random(seed)
+        r = len(dims)
+        spaces = [[f"c{h}s{i}" for i in range(d)] for h, d in enumerate(dims)]
+        labels = GGame.joint_labels(spaces)
+        edges = [
+            (u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]
+            if rng.random() < density
+        ]
+        rng.shuffle(labels)
+        if payoffs == "ties":
+            draw = lambda: float(rng.randint(-2, 2))
+        else:
+            draw = lambda: rng.uniform(-10.0, 10.0)
+        tensors = [np.array([draw() for _ in labels]).reshape(dims) for _ in range(r)]
+        players = tuple(range(1, r + 1))
+        game = GGame(
+            CoalitionStructure(players, tuple((p,) for p in players)),
+            spaces, tensors, Graph(labels, edges),
+        )
+        equilibria, witnesses, doc = reference_analysis(game)
+        got = pure_c_equilibria(game)
+        assert got == equilibria and got.violations == witnesses
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp)
+            formats.dump_json(formats.game_to_dict(game), folder / "game.json")
+            formats.dump_json(doc, folder / "want.json")
+            assert main(["analyze", str(folder / "game.json"), "--out", str(folder / "out")]) == 0
+            want = (folder / "want.json").read_bytes()
+            assert (folder / "out" / "equilibria.json").read_bytes() == want
 
 
 class TestCoalitionPayoffs:

@@ -61,7 +61,48 @@ RUNS = {
     "decompose-coordination": ["decompose", COORDINATION],
     "mcmc-build-path5": ["mcmc-build", *PATH5],
     "mcmc-build-example-smoothed": ["mcmc-build", *EXAMPLE, "--smooth-k", "3"],
+    "analyze-generated-4x5x4": ["analyze", "{in}/game.json"],
+    "mcmc-build-generated-ring60": ["mcmc-build", "{in}/graph.json", "{in}/target.json"],
 }
+
+
+def write_generated_game(folder: Path) -> None:
+    """A 3-coalition 4x5x4 game with integer payoffs on a graph that is not
+    a strong product: profiles p < q are adjacent when (p * q + p + q) % 7
+    is 0, numbering profiles row-major, and node order is reversed."""
+    dims = (4, 5, 4)
+    spaces = [[f"c{h}s{i}" for i in range(d)] for h, d in enumerate(dims)]
+    flat = np.arange(int(np.prod(dims)))
+    payoffs = [((flat * (11 + 2 * h) + h * h) ** 2 % 23 - 11).tolist() for h in range(3)]
+    labels = GGame.joint_labels(spaces)
+    edges = [
+        [labels[p], labels[q]]
+        for p in range(len(labels))
+        for q in range(p + 1, len(labels))
+        if (p * q + p + q) % 7 == 0
+    ]
+    doc = {
+        "players": 3,
+        "coalitions": [[1], [2], [3]],
+        "strategies": spaces,
+        "payoffs": payoffs,
+        "graph": {"nodes": labels[::-1], "edges": edges},
+    }
+    formats.dump_json(doc, folder / "game.json")
+
+
+def write_generated_ring(folder: Path) -> None:
+    """A 60-node ring with a chord every 9 nodes (diameter well above 3), and
+    a strictly positive target with masses 1..7 up to normalization."""
+    n = 60
+    labels = [f"v{i}" for i in range(n)]
+    edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+    edges += [[labels[i], labels[(i + 30) % n]] for i in range(0, 30, 9)]
+    formats.dump_json({"nodes": labels, "edges": edges}, folder / "graph.json")
+    formats.dump_json(
+        {lab: float(i % 7 + 1) / 234 for i, lab in enumerate(labels)},
+        folder / "target.json",
+    )
 
 DIGESTS = {
     "analyze-coordination": {
@@ -69,6 +110,9 @@ DIGESTS = {
     },
     "analyze-pennies": {
         "equilibria.json": "e46d34fda833a4f01534c5dd538602ce4b9945287093be5184320d1fa42b8859",
+    },
+    "analyze-generated-4x5x4": {
+        "equilibria.json": "58046ccecca820a4386c851761a86a705ed0d7fe8a71b36cf2a18942b6d977ce",
     },
     "decompose-coordination": {
         "decomposition.json": "3ea0e229f1ca93e38973ef816822f78557818962f82b5a4908d4f93f6a6dc627",
@@ -91,6 +135,10 @@ DIGESTS = {
     "mcmc-build-example-smoothed": {
         "build.json": "7f205540d6c567a7cc556a7fdfc7522682f611fb0466cd52ee9ed5b4321ae241",
         "kernel.csv": "511fdd737370a3ff60fcd0b4a32be93aa62c3f3de4548a75ab259e93c4c812d3",
+    },
+    "mcmc-build-generated-ring60": {
+        "build.json": "a45f816731e1ea334b1d1afcdbc17b17d3839dda2efb2740372229f4d54e6d7f",
+        "kernel.csv": "30f6b2df556f1b5181e2194c1e7a7aef732e73bc1174c1deecd3595b3317ce74",
     },
     "mcmc-build-path5": {
         "build.json": "dc69a780e0de0697268f11d5a8c00b93023602ab4544b3e2a0cfae9dc01f73a8",
@@ -128,10 +176,15 @@ DIGESTS = {
 }
 
 
-def artifact_digests(name: str, out: Path) -> dict[str, str]:
+def artifact_digests(name: str, tmp_path: Path) -> dict[str, str]:
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    write_generated_game(inputs)
+    write_generated_ring(inputs)
+    argv = [arg.replace("{in}", str(inputs)) for arg in RUNS[name]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = main(RUNS[name] + ["--out", str(out)])
+        code = main(argv + ["--out", str(out)])
     assert code == 0
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())

@@ -70,6 +70,108 @@ class TestAdjacency:
             Graph(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def reference_graph(labels, edges):
+    """The per-edge constructor that the edge arrays replace, kept as the
+    reference: the first bad edge in input order raises, checked as unknown
+    u, unknown v, self-loop, duplicate. Returns the edge set and the
+    neighbour sets, filled in input order."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    neighbors = [set() for _ in labels]
+    edge_set = set()
+    for u, v in edges:
+        if u not in index:
+            raise GraphError(f"unknown node {u!r} in edge")
+        if v not in index:
+            raise GraphError(f"unknown node {v!r} in edge")
+        i, j = index[u], index[v]
+        if i == j:
+            raise GraphError(f"self-loop on {u!r} (self-adjacency is implicit)")
+        key = (i, j) if i < j else (j, i)
+        if key in edge_set:
+            raise GraphError(f"duplicate edge {{{u!r}, {v!r}}}")
+        edge_set.add(key)
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    return frozenset(edge_set), [frozenset(s) for s in neighbors]
+
+
+def raised(build, *args):
+    try:
+        build(*args)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+NODES = ["a", "b", "c", "d", "e"]
+PATH_EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+BAD_EDGES = {
+    "unknown-u": ("x", "b"),
+    "unknown-v": ("a", "y"),
+    "both-unknown": ("x", "y"),
+    "unknown-self-loop": ("x", "x"),
+    "self-loop": ("c", "c"),
+    "duplicate": ("a", "b"),
+    "reversed-duplicate": ("c", "b"),
+}
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("position", range(len(PATH_EDGES) + 1))
+    @pytest.mark.parametrize("kind", sorted(BAD_EDGES))
+    def test_error_text_for_each_bad_edge_at_each_position(self, kind, position):
+        edges = PATH_EDGES[:position] + [BAD_EDGES[kind]] + PATH_EDGES[position:]
+        want = raised(reference_graph, NODES, edges)
+        assert want is not None
+        assert raised(Graph, NODES, edges) == want
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        ends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=14),
+    )
+    def test_matches_reference_constructor(self, n, ends):
+        """Labels past the node count are unknown; the first bad edge names
+        the error, and a good edge list gives the same edges and neighbours."""
+        labels = [f"n{i}" for i in range(n)]
+        edges = [(f"n{i}", f"n{j}") for i, j in ends]
+        want = raised(reference_graph, labels, edges)
+        assert raised(Graph, labels, edges) == want
+        if want is not None:
+            return
+        g = Graph(labels, edges)
+        edge_set, neighbors = reference_graph(labels, edges)
+        assert list(g.edge_indices) == list(edge_set)
+        assert g.edges.tolist() == sorted(map(list, edge_set))
+        assert all(list(g.neighbors(i)) == list(neighbors[i]) for i in range(n))
+        assert all(
+            g.indices[g.indptr[i] : g.indptr[i + 1]].tolist() == sorted(neighbors[i])
+            for i in range(n)
+        )
+        assert g == Graph(labels, reversed(edges)) and hash(g) == hash((g.labels, edge_set))
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sets_iterate_in_reference_order(self, seed, shuffled):
+        """The neighbour sets and the edge set iterate as the reference's do,
+        for edges listed in index order or shuffled: `build_kernel` sums in
+        that order, also on the subgraphs `induced_subgraph` builds from the
+        edge set. Hundreds of nodes make set slots collide, where the order
+        depends on how the set was filled."""
+        rng = random.Random(seed)
+        labels = [f"n{i}" for i in range(300)]
+        edges = [
+            (labels[i], labels[j]) for i in range(300) for j in range(i + 1, 300)
+            if rng.random() < 0.03
+        ]
+        if shuffled:
+            rng.shuffle(edges)
+        edge_set, neighbors = reference_graph(labels, edges)
+        g = Graph(labels, edges)
+        assert list(g.edge_indices) == list(edge_set)
+        assert all(list(g.neighbors(i)) == list(neighbors[i]) for i in range(300))
+
+
 class TestComponents:
     def test_isolated(self):
         g = edgeless_graph(["a", "b"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -56,18 +57,17 @@ EXIT_NO_CONVERGENCE = 5
 CONVERGED_TV = 0.1  # desk-scale convergence flag for run summaries
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `low`."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return value
 
-def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+    parse.__name__ = "integer"  # argparse reports "invalid integer value"
+    return parse
 
 
 def parse_schedule(text: str, n_states: int) -> Schedule:
@@ -353,17 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mcmc-build", help="build a reversible kernel for a target")
     p.add_argument("graph")
     p.add_argument("target")
-    p.add_argument("--smooth-k", type=positive_int, default=None)
+    p.add_argument("--smooth-k", type=int_at_least(1), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mcmc_build)
 
     p = sub.add_parser("mcmc-run", help="simulate a graph-consistent chain")
     p.add_argument("graph")
     p.add_argument("target")
-    p.add_argument("--steps", type=positive_int, required=True)
+    p.add_argument("--steps", type=int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", default="powergap:1:3")
-    p.add_argument("--burn-in", type=nonnegative_int, default=0)
+    p.add_argument("--burn-in", type=int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mcmc_run)
 
@@ -374,17 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repeated", help="run equilibrium chain policies")
     p.add_argument("game")
-    p.add_argument("--t-eval", type=positive_int, default=100_000)
-    p.add_argument("--replicas", type=positive_int, default=5)
+    p.add_argument("--t-eval", type=int_at_least(1), default=100_000)
+    p.add_argument("--replicas", type=int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_repeated)
 
     p = sub.add_parser("folk-check", help="payoff match plus deviation battery")
     p.add_argument("game")
-    p.add_argument("--t-eval", type=positive_int, default=1_000_000)
-    p.add_argument("--dev-steps", type=positive_int, default=100_000)
-    p.add_argument("--replicas", type=positive_int, default=20)
+    p.add_argument("--t-eval", type=int_at_least(1), default=1_000_000)
+    p.add_argument("--dev-steps", type=int_at_least(1), default=100_000)
+    p.add_argument("--replicas", type=int_at_least(2), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_folk_check)

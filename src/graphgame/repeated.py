@@ -299,9 +299,7 @@ class RepeatedConfig:
         derived = factorize(game.graph, game.spaces)
         if derived is None or derived.factors != factors:
             raise ValueError("decomposition does not reproduce the game graph")
-        if isinstance(self.init, PlayersInit):
-            game.validate_profile(self.init.profile)
-        elif self.init.profile is not None:
+        if isinstance(self.init, PlayersInit) or self.init.profile is not None:
             game.validate_profile(self.init.profile)
         else:
             dists = self.init.distributions
@@ -318,11 +316,14 @@ class RepeatedConfig:
 
 def _initial_strategy(config: RepeatedConfig, h: int, stream: UniformStream) -> int:
     init = config.init
-    if isinstance(init, PlayersInit):
-        return init.profile[h]
-    if init.profile is not None:
+    if isinstance(init, PlayersInit) or init.profile is not None:
         return init.profile[h]
     return draw_index(cumulative_row(init.distributions[h].masses), stream.next())
+
+
+def _closed_sets(factor: Graph) -> list[frozenset[int]]:
+    """The strategies each strategy may move to: itself and its neighbours."""
+    return [factor.neighbors(i) | {i} for i in range(factor.n)]
 
 
 def _check_move(factor: Graph, h: int, prev: int, nxt: int, t: int) -> None:
@@ -362,10 +363,11 @@ def _simulate_component(
     if isinstance(policy, TablePolicy):
         return _table_path(factor, h, policy, start, stream, stages)
     history = [start]
-    step = policy.step
+    step, closed = policy.step, _closed_sets(factor)
     for t in range(1, stages):
         nxt = step(t, history, stream)
-        _check_move(factor, h, history[-1], nxt, t)
+        if nxt not in closed[history[-1]]:
+            _check_move(factor, h, history[-1], nxt, t)
         history.append(nxt)
     return np.asarray(history, dtype=np.int64)
 
@@ -373,27 +375,30 @@ def _simulate_component(
 def _simulate_lockstep(
     config: RepeatedConfig, streams: list[UniformStream], stages: int
 ) -> list[np.ndarray]:
-    """Maximal information: every step policy sees the joint history. Table
+    """Maximal information: every step policy sees the joint history, in
+    which coalitions before it already hold their stage-t move. Table
     policies observe no other coalition and draw only from their own stream,
     so their paths are computed up front and replayed stage by stage."""
     factors = config.decomposition.factors
     histories: list[list[int]] = [
         [_initial_strategy(config, h, streams[h])] for h in range(config.game.r)
     ]
-    paths = [
-        _table_path(factors[h], h, policy, histories[h][0], streams[h], stages).tolist()
-        if isinstance(policy, TablePolicy)
-        else None
-        for h, policy in enumerate(config.policies)
-    ]
+    coalitions = []
+    for h, (policy, factor, stream) in enumerate(zip(config.policies, factors, streams)):
+        if isinstance(policy, TablePolicy):
+            path = _table_path(factor, h, policy, histories[h][0], stream, stages).tolist()
+            coalitions.append((h, histories[h], path, None, None, None))
+        else:
+            coalitions.append((h, histories[h], None, policy.step, stream, _closed_sets(factor)))
     for t in range(1, stages):
-        for h, policy in enumerate(config.policies):
-            if paths[h] is not None:
-                nxt = paths[h][t]
+        for h, history, path, step, stream, closed in coalitions:
+            if path is not None:
+                nxt = path[t]
             else:
-                nxt = policy.step(t, histories[h], streams[h], joint_history=histories)
-                _check_move(factors[h], h, histories[h][-1], nxt, t)
-            histories[h].append(nxt)
+                nxt = step(t, history, stream, joint_history=histories)
+                if nxt not in closed[history[-1]]:
+                    _check_move(factors[h], h, history[-1], nxt, t)
+            history.append(nxt)
     return [np.asarray(hist, dtype=np.int64) for hist in histories]
 
 

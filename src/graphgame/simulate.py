@@ -52,40 +52,35 @@ class Trace:
         return np.bincount(self.states[:t], minlength=len(self.state_labels))
 
 
+_SINGLES = 256  # uniforms buffered for next(); block requests draw exactly
+
+
 class UniformStream:
-    """Buffered float64 uniforms from one generator.
+    """Float64 uniforms from one generator, drawn only as they are handed out.
 
-    numpy draws the same value sequence whether asked singly or in blocks,
-    so buffering never changes what a consumer sees.
-    """
+    `take(n)` serves what `next()` left buffered and draws exactly the rest;
+    `next()` buffers `_SINGLES` draws at a time. numpy yields the same values
+    however draws are split into blocks, so buffering never changes a value,
+    and the generator runs at most one small buffer ahead of the consumer."""
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 8192):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._chunk = chunk
         self._buf: list[float] = []
         self._pos = 0
 
     def next(self) -> float:
         if self._pos == len(self._buf):
-            self._buf = self._rng.random(self._chunk).tolist()
+            self._buf = self._rng.random(_SINGLES).tolist()
             self._pos = 0
         value = self._buf[self._pos]
         self._pos += 1
         return value
 
     def take(self, n: int) -> list[float]:
-        out: list[float] = []
-        while n > 0:
-            if self._pos == len(self._buf):
-                if n >= self._chunk:
-                    out.extend(self._rng.random(n).tolist())
-                    return out
-                self._buf = self._rng.random(self._chunk).tolist()
-                self._pos = 0
-            grab = min(len(self._buf) - self._pos, n)
-            out.extend(self._buf[self._pos : self._pos + grab])
-            self._pos += grab
-            n -= grab
+        out = self._buf[self._pos : self._pos + max(n, 0)]
+        self._pos += len(out)
+        if n > len(out):
+            out.extend(self._rng.random(n - len(out)).tolist())
         return out
 
 

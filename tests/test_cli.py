@@ -347,6 +347,19 @@ class TestInputErrors:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_folk_check_one_replica_rejected_at_parse(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["folk-check", str(FIXTURES / "matching_pennies.json"), "--replicas", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "graphgame folk-check: error: argument --replicas: must be an integer >= 2"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "error, code",
         [

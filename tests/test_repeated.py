@@ -82,6 +82,14 @@ def one_coalition_game(factor: Graph) -> GGame:
     return GGame(structure, spaces, payoffs, factor)
 
 
+def two_path_game() -> GGame:
+    """Two coalitions, each on the path a-b-c, with zero payoffs."""
+    factor = path_graph(["a", "b", "c"])
+    structure = CoalitionStructure((1, 2), ((1,), (2,)))
+    payoffs = (np.zeros((3, 3)), np.zeros((3, 3)))
+    return GGame(structure, (factor.labels,) * 2, payoffs, strong_product([factor] * 2))
+
+
 class TestDecomposeGame:
     def test_complete_game_decomposes(self):
         game = matching_pennies()
@@ -385,6 +393,65 @@ class TestSimulateRepeated:
         first = int(np.flatnonzero(uniforms >= 0.5)[0]) + 1
         assert messages[0] == messages[1]
         assert f"jumped a -> c at stage {first};" in messages[0]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (2, "coalition 1 jumped a -> c at stage 3; the strategies are not adjacent"),
+            (3, "coalition 1 emitted strategy index 3 outside its space at stage 3"),
+            (-1, "coalition 1 emitted strategy index -1 outside its space at stage 3"),
+        ],
+    )
+    def test_step_policy_violation_same_under_both_info_models(self, bad, message):
+        game = two_path_game()
+
+        def stray(t, own, stream, joint):
+            return bad if t == 3 else own[-1]
+
+        for info in InfoModel:
+            config = RepeatedConfig(
+                game=game,
+                decomposition=decompose_game(game),
+                policies=(ScriptedPolicy([0, 1, 2, 1, 0, 0]), CustomPolicy(stray)),
+                init=PlayersInit((0, 0)),
+                info=info,
+                horizon=6,
+            )
+            with pytest.raises(ConsistencyViolationError) as err:
+                simulate_repeated(config, seed=0)
+            assert str(err.value) == message, info
+
+    def test_maximal_info_call_order(self):
+        # coalition 1 sees coalition 0's stage-t move; coalition 0 sees
+        # coalition 1 only up to stage t - 1
+        game = two_path_game()
+        walk = [0, 1, 2, 2, 1, 0, 1, 2]
+        seen = {0: [], 1: []}
+
+        def leader(t, own, stream, joint):
+            seen[0].append((t, len(joint[0]), len(joint[1])))
+            assert joint[0] is own
+            return walk[t]
+
+        def follower(t, own, stream, joint):
+            seen[1].append((t, len(joint[0]), len(joint[1])))
+            assert joint[1] is own
+            return joint[0][t]
+
+        config = RepeatedConfig(
+            game=game,
+            decomposition=decompose_game(game),
+            policies=(CustomPolicy(leader), CustomPolicy(follower)),
+            init=PlayersInit((0, 0)),
+            info=InfoModel.MAXIMAL,
+            horizon=len(walk),
+        )
+        trace, _ = simulate_repeated(config, seed=0)
+        stages = range(1, len(walk))
+        assert seen[0] == [(t, t, t) for t in stages]
+        assert seen[1] == [(t, t + 1, t) for t in stages]
+        assert trace.components[0].states.tolist() == walk
+        assert trace.components[1].states.tolist() == walk
 
 
 def ulp_neighbourhood(points, width=3):

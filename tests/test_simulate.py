@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgame.chains import (
     Schedule,
@@ -27,6 +29,8 @@ from graphgame.simulate import (
     ProductChainSpec,
     Realization,
     Trace,
+    UniformStream,
+    _SINGLES,
     empirical_distribution,
     ergodic_average,
     make_stream,
@@ -49,6 +53,45 @@ def power_gap_quiet(c=1, e=3):
 
 
 TWO_STATE_KERNEL = build_kernel(dist(2 / 3, 1 / 3), path_graph(["a", "b"]))
+
+
+# a stream request: None is one next(), an integer k is take(k)
+STREAM_REQUEST = st.one_of(
+    st.none(),
+    st.sampled_from([0, 1, _SINGLES - 1, _SINGLES, _SINGLES + 1, (1 << 16) + 1, 70_001]),
+    st.integers(0, 3 * _SINGLES),
+)
+
+
+class TestUniformStream:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), requests=st.lists(STREAM_REQUEST, max_size=12))
+    def test_interleaved_requests_replay_one_block(self, seed, requests):
+        rng = np.random.default_rng(seed)
+        stream = UniformStream(rng)
+        got: list[float] = []
+        for k in requests:
+            if k is None:
+                got.append(stream.next())
+            else:
+                block = stream.take(k)
+                assert len(block) == k
+                got.extend(block)
+        consumed = len(got)
+        reference = np.random.default_rng(seed).random(consumed + _SINGLES + 1).tolist()
+        assert got == reference[:consumed]
+        # the generator ran ahead of the consumer by the single-draw buffer at most
+        ahead = reference.index(rng.random(), consumed) - consumed
+        assert 0 <= ahead <= _SINGLES
+        if None not in requests:
+            assert ahead == 0
+
+    def test_negative_take_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        stream = UniformStream(rng)
+        first = stream.next()
+        assert stream.take(-3) == []
+        assert [first, stream.next()] == np.random.default_rng(5).random(2).tolist()
 
 
 class TestHomogeneous:

@@ -11,6 +11,7 @@ equilibrium (three or more coalitions only).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable
@@ -137,18 +138,16 @@ def cmd_mcmc_build(args) -> int:
     if args.smooth_k is not None:
         target = smooth(target, args.smooth_k).smoothed
     kernel = build_kernel(target, g)
-    formats.dump_kernel_csv(kernel, out / "kernel.csv")
     pi = stationary_distribution(kernel)
     want = np.array([target.masses[g.index(lab)] for lab in kernel.state_labels])
-    formats.dump_json(
-        {
-            "p": kernel.p,
-            "dobrushin": dobrushin(kernel),
-            "stationary_max_error": float(np.abs(pi - want).max()),
-            "states": list(kernel.state_labels),
-        },
-        out / "build.json",
-    )
+    build = {
+        "p": kernel.p,
+        "dobrushin": dobrushin(kernel),
+        "stationary_max_error": float(np.abs(pi - want).max()),
+        "states": list(kernel.state_labels),
+    }
+    formats.dump_kernel_csv(kernel, out / "kernel.csv")
+    formats.dump_json(build, out / "build.json")
     print(f"kernel -> {out / 'kernel.csv'}")
     return EXIT_OK
 
@@ -331,7 +330,11 @@ def cmd_folk_check(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It holds no command functions:
+    `main` looks up `cmd_<command>` when it runs, so a function replaced on
+    this module (by a test or a tracer) is the one called."""
     parser = argparse.ArgumentParser(
         prog="graphgame",
         description="Coalition games on strategy graphs: equilibria, "
@@ -342,20 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="enumerate pure equilibria of a game file")
     p.add_argument("game")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("mixed", help="compute a mixed equilibrium")
     p.add_argument("game")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_mixed)
 
     p = sub.add_parser("mcmc-build", help="build a reversible kernel for a target")
     p.add_argument("graph")
     p.add_argument("target")
     p.add_argument("--smooth-k", type=int_at_least(1), default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_mcmc_build)
 
     p = sub.add_parser("mcmc-run", help="simulate a graph-consistent chain")
     p.add_argument("graph")
@@ -365,12 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="powergap:1:3")
     p.add_argument("--burn-in", type=int_at_least(0), default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_mcmc_run)
 
     p = sub.add_parser("decompose", help="factor a game graph over its coalitions")
     p.add_argument("game")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("repeated", help="run equilibrium chain policies")
     p.add_argument("game")
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_repeated)
 
     p = sub.add_parser("folk-check", help="payoff match plus deviation battery")
     p.add_argument("game")
@@ -387,16 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int_at_least(2), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_folk_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except SupportSplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SUPPORT_SPLIT

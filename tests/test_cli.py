@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -377,3 +380,58 @@ class TestInputErrors:
         argv = ["mcmc-build", PATH5_GRAPH, UNIFORM5, "--out", str(tmp_path)]
         assert main(argv) == code
         assert capsys.readouterr().err == "error: from the kernel\n"
+
+    def test_mcmc_build_writes_nothing_before_its_checks(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise chains.ChainError("no stationary law")
+
+        monkeypatch.setattr(cli, "stationary_distribution", fail)
+        out = tmp_path / "out"
+        assert main(["mcmc-build", PATH5_GRAPH, UNIFORM5, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no stationary law\n"
+        assert not (out / "kernel.csv").exists()
+        assert not (out / "build.json").exists()
+
+
+class TestCachedParser:
+    """One parser serves every `main` call of a process."""
+
+    def test_usage_error_and_help_leave_later_commands_intact(self, tmp_path, capsys):
+        pennies = str(FIXTURES / "matching_pennies.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["folk-check", pennies, "--replicas", "1", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "mcmc-build" in capsys.readouterr().out
+        argv = ["mcmc-run", *EXAMPLE, "--steps", "2000", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        assert read_json(tmp_path / "a" / "summary.json")["steps"] == 2000
+
+    def test_command_is_looked_up_when_main_runs(self, tmp_path, monkeypatch):
+        game = str(FIXTURES / "coordination.json")
+        assert main(["decompose", game, "--out", str(tmp_path / "first")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_decompose", lambda args: seen.append(args.game) or 0)
+        assert main(["decompose", game, "--out", str(tmp_path / "second")]) == 0
+        assert seen == [game]
+        assert not (tmp_path / "second").exists()
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path):
+    """`python -m graphgame.cli` dispatches through the `__main__` module."""
+    root = FIXTURES.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphgame.cli", "decompose", "fixtures/matching_pennies.json",
+         "--out", str(tmp_path / "sub")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pennies = str(FIXTURES / "matching_pennies.json")
+    assert main(["decompose", pennies, "--out", str(tmp_path / "main")]) == 0
+    assert tree_bytes(tmp_path / "sub") == tree_bytes(tmp_path / "main")

@@ -257,8 +257,14 @@ class TestCsvFormats:
     def test_trace_csv_matches_row_writer(self, length, spaces, seed, tmp_path):
         assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path)
 
+    # block edges, the lengths at which `t` gains a digit, and lengths that are neither
     @pytest.mark.parametrize(
-        "length", [_TRACE_ROWS - 1, _TRACE_ROWS, _TRACE_ROWS + 1, 65_535, 65_536, 65_537]
+        "length",
+        sorted(
+            {_TRACE_ROWS - 1, _TRACE_ROWS, _TRACE_ROWS + 1}
+            | {10**d + k for d in (3, 4, 5) for k in (-1, 0, 1)}
+            | {65_535, 65_536, 65_537}
+        ),
     )
     @given(spaces=SPACES, seed=st.integers(0, 2**32 - 1))
     # shrinking a failing example this long would take minutes; report it as found

@@ -3,7 +3,8 @@
 Every command is deterministic given its inputs, flags and seed, so any
 change to how uniforms become states, or to how artifacts are written, shows
 up here as a digest mismatch. A deliberate change must update the table and
-say why in the change log.
+say why in the change log. `PYTHONPATH=src python tests/test_golden.py`
+prints the current digests of every case in the table's format.
 """
 
 import hashlib
@@ -63,6 +64,13 @@ RUNS = {
     "mcmc-build-example-smoothed": ["mcmc-build", *EXAMPLE, "--smooth-k", "3"],
     "analyze-generated-4x5x4": ["analyze", "{in}/game.json"],
     "mcmc-build-generated-ring60": ["mcmc-build", "{in}/graph.json", "{in}/target.json"],
+    "mcmc-run-generated-ring60": [
+        "mcmc-run", "{in}/graph.json", "{in}/target.json", "--steps", "20000", "--seed", "8",
+    ],
+    "mcmc-run-generated-ring60-smoothed": [
+        "mcmc-run", "{in}/graph.json", "{in}/target_zero.json", "--steps", "20000",
+        "--seed", "9",
+    ],
 }
 
 
@@ -92,8 +100,10 @@ def write_generated_game(folder: Path) -> None:
 
 
 def write_generated_ring(folder: Path) -> None:
-    """A 60-node ring with a chord every 9 nodes (diameter well above 3), and
-    a strictly positive target with masses 1..7 up to normalization."""
+    """A 60-node ring with a chord every 9 nodes (diameter well above 3), a
+    strictly positive target with masses 1..7 up to normalization, and a
+    target whose mass sits on three pairwise non-adjacent nodes, which the
+    chain realizes by smoothing."""
     n = 60
     labels = [f"v{i}" for i in range(n)]
     edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
@@ -102,6 +112,10 @@ def write_generated_ring(folder: Path) -> None:
     formats.dump_json(
         {lab: float(i % 7 + 1) / 234 for i, lab in enumerate(labels)},
         folder / "target.json",
+    )
+    formats.dump_json(
+        {lab: {0: 0.4, 17: 0.35, 41: 0.25}.get(i, 0.0) for i, lab in enumerate(labels)},
+        folder / "target_zero.json",
     )
 
 DIGESTS = {
@@ -157,6 +171,20 @@ DIGESTS = {
         "summary.json": "7c0b56db62da338850f19cd05864d7110e6e4fa84e501f3310242d21fa12b763",
         "trace.csv": "bac98c73f201e12374a97d8345483b7d6174223405dbe0a93a34c2baa849a7e6",
         "tv_series.csv": "82f710c090999d63a693b9d8d5886b4662fa31633078a542a9ec910bc238bd13",
+    },
+    "mcmc-run-generated-ring60": {
+        "empirical.csv": "f85cc69d1c6b4cb3630e84da48f7c4744b4aebfc47ea9c79140c44b4cca0057a",
+        "kernel.csv": "30f6b2df556f1b5181e2194c1e7a7aef732e73bc1174c1deecd3595b3317ce74",
+        "summary.json": "b7343c40b7403439b6525c4a19367dcfb45b179da2810ccee6ee97b44f865f21",
+        "trace.csv": "8997a9cb263afc82ee6c3cf62036f17692d49cab2f40eee7935327116a387bac",
+        "tv_series.csv": "5e5afbe9878304650a19065b9ef17c9841fe7a136e5ccd8daa7a26099f7e3490",
+    },
+    "mcmc-run-generated-ring60-smoothed": {
+        "empirical.csv": "9d800a11a2d5fe0ea85f2f32a40b14b38046f5a4065f0dd82b27e7d7a0bdf100",
+        "kernel.csv": "bedbfd3a287a79db18b57b53d5f524fa3055f1a939bff0a313d90a9d41dd22d3",
+        "summary.json": "f3adbcc7bafe8a885fef35916340777f62ac633c6cbdc90f451ea7326de0caa2",
+        "trace.csv": "0ad9949c7bde592696c0d1d9610822aae37ea36ad3a929524029033342669363",
+        "tv_series.csv": "7436811804a4fa06d7b3d9d5535503a36a73301ae3536ee89955675b20a44117",
     },
     "mcmc-run-path5": {
         "empirical.csv": "bdb003c0bdc6f2264323eeccdd5551985b1963483a3a2fe98fa0b8152a819cbe",
@@ -215,3 +243,19 @@ def test_mixed_solves_pursuit_game(tmp_path):
     assert sorted(doc["profile"]) == ["C1", "C2"]
     for masses in doc["profile"].values():
         assert np.allclose(masses, 1.0 / n, rtol=0.0, atol=1e-12)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    print("DIGESTS = {")
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            digests = artifact_digests(name, Path(tmp))
+        print(f"    {name!r}: {{")
+        for artifact, digest in digests.items():
+            print(f"        {artifact!r}: {digest!r},")
+        print("    },")
+    print("}")

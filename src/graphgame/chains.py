@@ -7,7 +7,8 @@ below one half. Targets with zero-mass states are first made strictly
 positive by `smooth`, which mixes in a uniform layer on the low-mass states;
 driving the smoothing level along an increasing time schedule yields the
 nonhomogeneous chains whose empirical distributions converge to the original
-target.
+target. `KernelCore` holds the construction's arithmetic for a stack of
+targets on one graph, so every level a schedule visits is built in one batch.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ ROW_SUM_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
 # float64 values in one block of `dobrushin`'s row-pair minima (16 MB)
 DOBRUSHIN_BLOCK = 1 << 21
+# padded kernel entries in one batch of smoothing levels (2 MB per array)
+LEVEL_BLOCK = 1 << 18
 
 
 class ChainError(Exception):
@@ -107,21 +110,27 @@ def smooth(mu: Distribution, k: int) -> SmoothedTarget:
     """Mix `mu` with weight 1/k of the uniform distribution on the states of
     mass below 1/k. The result is strictly positive whenever that low set is
     nonempty."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    threshold = 1.0 / k
-    low = np.flatnonzero(mu.masses < threshold)
-    if low.size == 0:
-        raise EmptyLowSetError(f"no state has mass below 1/{k}")
-    eta = np.zeros(mu.n)
-    eta[low] = 1.0 / low.size
-    smoothed = eta / k + (1.0 - 1.0 / k) * mu.masses
+    smoothed, low = _smoothed_masses(mu.masses, [k])
     return SmoothedTarget(
         base=mu,
         k=k,
-        smoothed=Distribution(smoothed),
-        low_set=frozenset(int(i) for i in low),
+        smoothed=Distribution(smoothed[0]),
+        low_set=frozenset(int(i) for i in np.flatnonzero(low[0])),
     )
+
+
+def _smoothed_masses(masses: np.ndarray, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """`smooth`'s mixture of `masses` at each level of `ks`: the (L, n)
+    smoothed masses and the (L, n) masks of the low sets."""
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be a positive integer")
+    k = np.array([float(k) for k in ks])[:, None]
+    low = masses < 1.0 / k
+    empty = ~low.any(axis=1)
+    if empty.any():
+        raise EmptyLowSetError(f"no state has mass below 1/{ks[int(empty.argmax())]}")
+    eta = np.where(low, 1.0 / low.sum(axis=1, keepdims=True), 0.0)
+    return eta / k + (1.0 - 1.0 / k) * masses, low
 
 
 @dataclass(frozen=True)
@@ -141,12 +150,7 @@ class TransitionKernel:
         n = len(self.state_labels)
         if m.shape != (n, n):
             raise ValueError("matrix shape does not match state labels")
-        if not np.all(np.isfinite(m)) or np.any(m < 0) or np.any(m > 1 + ROW_SUM_TOL):
-            raise ValueError("transition probabilities must be finite and in [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise ValueError("rows must sum to 1")
-        if np.any(np.diag(m) < 0.5 - ROW_SUM_TOL):
-            raise ValueError("diagonal entries must be at least 1/2")
+        _check_rows(m, np.diag(m))
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -154,6 +158,97 @@ class TransitionKernel:
     @property
     def n(self) -> int:
         return len(self.state_labels)
+
+
+def _check_rows(m: np.ndarray, diagonal: np.ndarray) -> None:
+    """`TransitionKernel`'s checks on the rows along the last axis of `m`
+    (zeros where a row has no entry), whose diagonal entries are `diagonal`."""
+    if not np.isfinite(m).all() or (m < 0).any() or (m > 1 + ROW_SUM_TOL).any():
+        raise ValueError("transition probabilities must be finite and in [0, 1]")
+    if (np.abs(m.sum(axis=-1) - 1.0) > ROW_SUM_TOL).any():
+        raise ValueError("rows must sum to 1")
+    if (diagonal < 0.5 - ROW_SUM_TOL).any():
+        raise ValueError("diagonal entries must be at least 1/2")
+
+
+@dataclass(frozen=True)
+class KernelLevels:
+    """The kernels of L strictly positive targets on one graph, as padded rows
+    in node order. Row i of level l holds node i's entries at the nodes
+    `cols[i]`: its neighbours in `Graph.neighbors` order, then i itself (the
+    diagonal), then padding that repeats i with entry 0.0. `order[l]` lists
+    the nodes by decreasing mass (ties by node order), `position[l]` is its
+    inverse, and `p[l]` is the level's hop probability."""
+
+    order: np.ndarray  # (L, n)
+    position: np.ndarray  # (L, n)
+    p: np.ndarray  # (L,)
+    cols: np.ndarray  # (n, D)
+    values: np.ndarray  # (L, n, D)
+
+
+class KernelCore:
+    """The arithmetic of `build_kernel` for a stack of targets on one
+    connected graph, with the graph's row layout computed once.
+
+    Each row's load is summed left to right in `Graph.neighbors` order; a
+    cumulative sum along the padded row axis keeps that order, where `sum`
+    would pair the terms."""
+
+    def __init__(self, g: Graph):
+        if len(connected_components(g)) != 1:
+            raise NotConnectedError("kernel construction needs a connected graph")
+        self.graph = g
+        n = g.n
+        neighbors = [list(g.neighbors(i)) for i in range(n)]
+        degree = np.array([len(nbs) for nbs in neighbors], dtype=np.intp)
+        self._degree = degree
+        cols = np.repeat(np.arange(n)[:, None], int(degree.max()) + 1, axis=1)
+        slot = np.arange(cols.shape[1])
+        self._is_neighbor = slot < degree[:, None]
+        cols[self._is_neighbor] = [nb for nbs in neighbors for nb in nbs]
+        self.cols = cols
+        self._entries = np.nonzero(slot <= degree[:, None])  # (node, slot) of every entry
+
+    def levels(self, masses: np.ndarray) -> KernelLevels:
+        """The kernel of each row of the (L, n) stack `masses`, every level
+        checked as a `TransitionKernel` is."""
+        built = self._levels(masses)
+        _check_rows(built.values, built.values[:, np.arange(self.graph.n), self._degree])
+        return built
+
+    def _levels(self, masses: np.ndarray) -> KernelLevels:
+        """`levels` without the row checks, for callers that check the
+        result in another layout."""
+        masses = np.asarray(masses, dtype=float)
+        n = self.graph.n
+        if masses.ndim != 2 or masses.shape[1] != n:
+            raise ValueError("target and graph have different sizes")
+        if (masses <= 0).any():
+            raise NonPositiveTargetError("target must be strictly positive everywhere")
+        cols = self.cols
+        order = np.argsort(-masses, axis=1, kind="stable")
+        position = np.empty_like(order)
+        position[np.arange(len(order))[:, None], order] = np.arange(n)
+        # a hop down the mass order weighs 1, a hop up the mass ratio
+        up = self._is_neighbor & (position[:, cols] < position[:, :, None])
+        ratio = np.where(up, masses[:, cols] / masses[:, :, None], self._is_neighbor * 1.0)
+        load = np.cumsum(ratio, axis=2)[:, :, -1]
+        p = (1.0 / (2.0 * load)).min(axis=1) if n > 1 else np.zeros(len(masses))
+        values = ratio * p[:, None, None]
+        values[:, np.arange(n), self._degree] = 1.0 - p[:, None] * load
+        return KernelLevels(order, position, p, cols, values)
+
+    def kernel(self, target: Distribution) -> TransitionKernel:
+        """The dense kernel of one target: its single level scattered into an
+        n x n matrix over the mass order, which `TransitionKernel` checks."""
+        built = self._levels(target.masses[None, :])
+        position = built.position[0]
+        nodes, slots = self._entries
+        matrix = np.zeros((self.graph.n, self.graph.n))
+        matrix[position[nodes], position[self.cols[nodes, slots]]] = built.values[0, nodes, slots]
+        labels = tuple(self.graph.labels[i] for i in built.order[0].tolist())
+        return TransitionKernel(matrix, labels, float(built.p[0]))
 
 
 def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
@@ -164,42 +259,7 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     of its mass on the diagonal; hops down the mass order use p, hops up use
     p scaled by the mass ratio, which forces detailed balance exactly.
     """
-    if target.n != g.n:
-        raise ValueError("target and graph have different sizes")
-    if np.any(target.masses <= 0):
-        raise NonPositiveTargetError("target must be strictly positive everywhere")
-    if len(connected_components(g)) != 1:
-        raise NotConnectedError("kernel construction needs a connected graph")
-
-    n = g.n
-    if n == 1:
-        return TransitionKernel(np.array([[1.0]]), (g.labels[0],), 0.0)
-
-    order = sorted(range(n), key=lambda i: (-target.masses[i], i))
-    position = {node: pos for pos, node in enumerate(order)}
-    mass = [float(target.masses[i]) for i in order]
-
-    load = np.zeros(n)  # per-row off-diagonal weight at unit hop probability
-    for pos, node in enumerate(order):
-        acc = 0.0
-        for nb in g.neighbors(node):
-            nb_pos = position[nb]
-            acc += 1.0 if nb_pos > pos else mass[nb_pos] / mass[pos]
-        load[pos] = acc
-    p = float(min(1.0 / (2.0 * d) for d in load))
-
-    matrix = np.zeros((n, n))
-    for pos, node in enumerate(order):
-        for nb in g.neighbors(node):
-            nb_pos = position[nb]
-            if nb_pos > pos:
-                matrix[pos, nb_pos] = p
-            else:
-                matrix[pos, nb_pos] = mass[nb_pos] / mass[pos] * p
-        matrix[pos, pos] = 1.0 - p * load[pos]
-
-    labels = tuple(g.labels[i] for i in order)
-    return TransitionKernel(matrix, labels, p)
+    return KernelCore(g).kernel(target)
 
 
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
@@ -403,7 +463,7 @@ class Schedule:
 
 
 class SmoothedKernelFamily:
-    """Schedule-indexed kernels for one target on one graph, cached per level.
+    """Schedule-indexed kernels for one target on one graph.
 
     Applies only when the target's support is disconnected inside a single
     component; the state space is restricted to that component before any
@@ -433,14 +493,10 @@ class SmoothedKernelFamily:
             self.graph = g
             self.mu = mu
         self.schedule = schedule
-        self._cache: dict[int, TransitionKernel] = {}
+        self._core = KernelCore(self.graph)
 
     def kernel_for_level(self, k: int) -> TransitionKernel:
-        kernel = self._cache.get(k)
-        if kernel is None:
-            kernel = build_kernel(smooth(self.mu, k).smoothed, self.graph)
-            self._cache[k] = kernel
-        return kernel
+        return self._core.kernel(smooth(self.mu, k).smoothed)
 
     def kernel_for_interval(self, l: int) -> TransitionKernel:
         return self.kernel_for_level(self.schedule.smoothing_index(l))
@@ -448,3 +504,12 @@ class SmoothedKernelFamily:
     def kernel_at(self, t: int) -> TransitionKernel:
         return self.kernel_for_interval(self.schedule.interval_index(t))
 
+    def level_batches(self, ks: Sequence[int]) -> Iterator[tuple[Sequence[int], KernelLevels]]:
+        """The kernels at smoothing levels `ks`, built together in batches of
+        at most LEVEL_BLOCK padded entries (one level when a level exceeds
+        it); yields each batch's levels with their kernels."""
+        step = max(1, LEVEL_BLOCK // self._core.cols.size)
+        for i in range(0, len(ks), step):
+            batch = ks[i : i + step]
+            masses, _ = _smoothed_masses(self.mu.masses, batch)
+            yield batch, self._core.levels(masses)

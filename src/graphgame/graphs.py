@@ -111,7 +111,7 @@ class Graph:
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
         """Every node's neighbour set, cached. The sets are filled edge by edge
         in input order and then frozen, which fixes their iteration order:
-        `chains.build_kernel` sums floats in that order."""
+        `chains.KernelCore` sums floats in that order."""
         sets: list[set[int]] = [set() for _ in self.labels]
         for i, j in self._edges_as_given():
             sets[i].add(j)

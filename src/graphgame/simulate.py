@@ -20,6 +20,7 @@ import numpy as np
 from .chains import (
     CaseLabel,
     GapConditionError,
+    KernelLevels,
     Schedule,
     SmoothedKernelFamily,
     SupportSplitError,
@@ -115,6 +116,22 @@ def draw_index(cum: list[float], u: float) -> int:
     return bisect_right(cum, u)
 
 
+def _table_rows(values: np.ndarray, succ: np.ndarray) -> tuple[list, list]:
+    """The bisection rows of padded transition rows. Each row of `values`
+    holds its entries in column order, with exact zeros where it has none,
+    and `succ` names each entry's successor. A row keeps only its nonzero
+    entries, each with the running sum of the whole row up to it, so a
+    uniform picks the same successor as a bisection over the full row; the
+    rounding guard 1.0 sits on the last kept entry."""
+    keep = values != 0
+    cum = np.cumsum(values, axis=1)[keep]
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    cum[np.array(ends) - 1] = 1.0  # guard against rounding so a draw can never overflow
+    cum, kept = cum.tolist(), succ[keep].tolist()
+    bounds = list(zip([0, *ends[:-1]], ends))
+    return [cum[a:b] for a, b in bounds], [kept[a:b] for a, b in bounds]
+
+
 _BLOCK = 1 << 16  # uniforms drawn per block, which bounds a run's memory
 
 
@@ -158,22 +175,39 @@ class TransitionTable:
 
     @classmethod
     def from_kernel(cls, kernel: TransitionKernel, labels: Sequence[str]) -> "TransitionTable":
-        """The kernel's rows indexed by position in `labels`. A row keeps the
-        kernel's column order and drops only zero-mass columns, so a uniform
-        picks the same successor as a bisection over the full row; the
-        rounding guard sits on the last kept column."""
+        """The kernel's rows indexed by position in `labels`."""
         index = {lab: i for i, lab in enumerate(labels)}
-        node_of_pos = [index[lab] for lab in kernel.state_labels]
-        cum: list = [None] * len(labels)
-        succ: list = [None] * len(labels)
-        full = np.cumsum(kernel.matrix, axis=1)
-        for pos, node in enumerate(node_of_pos):
-            cols = np.flatnonzero(kernel.matrix[pos])
-            row = full[pos, cols]
-            row[-1] = 1.0  # guard against rounding so a draw can never overflow
-            cum[node] = row.tolist()
-            succ[node] = [node_of_pos[c] for c in cols]
-        return cls(cum, succ)
+        node_of_pos = np.array([index[lab] for lab in kernel.state_labels], dtype=np.intp)
+        cum, succ = _table_rows(kernel.matrix, np.broadcast_to(node_of_pos, kernel.matrix.shape))
+        return cls._indexed(node_of_pos.tolist(), cum, succ, len(labels))
+
+    @classmethod
+    def from_levels(
+        cls, levels: KernelLevels, nodes: Sequence[int], size: int
+    ) -> list["TransitionTable"]:
+        """One table over `size` states per level, the levels' graph node i
+        at state nodes[i]. Each padded row is put in column (mass) order
+        first, as the dense kernel holds it."""
+        count, n, width = levels.values.shape
+        perm = np.argsort(levels.position[:, levels.cols], axis=2, kind="stable")
+        values = np.take_along_axis(levels.values, perm, axis=2)
+        succ = np.asarray(nodes, dtype=np.intp)[levels.cols]
+        succ = np.take_along_axis(np.broadcast_to(succ, perm.shape), perm, axis=2)
+        cum, succ = _table_rows(values.reshape(-1, width), succ.reshape(-1, width))
+        return [
+            cls._indexed(nodes, cum[l * n : (l + 1) * n], succ[l * n : (l + 1) * n], size)
+            for l in range(count)
+        ]
+
+    @classmethod
+    def _indexed(cls, nodes: Sequence[int], cum: list, succ: list, size: int) -> "TransitionTable":
+        """The table whose row for state nodes[i] is (cum[i], succ[i])."""
+        cum_at: list = [None] * size
+        succ_at: list = [None] * size
+        for node, c, s in zip(nodes, cum, succ):
+            cum_at[node] = c
+            succ_at[node] = s
+        return cls(cum_at, succ_at)
 
     def __contains__(self, node: int) -> bool:
         return self.cum[node] is not None
@@ -194,8 +228,9 @@ class Realization:
     - point mass: the chain holds on the atom and draws nothing;
     - connected support: one kernel on the support;
     - support disconnected inside one component: the smoothing-schedule
-      kernels on that component, tabulated per smoothing level when first
-      visited; `schedule_factory` is called in this case only;
+      kernels on that component, tabulated per smoothing level when a run
+      first visits it, all of a run's new levels in one batch;
+      `schedule_factory` is called in this case only;
     - support split across components: no graph-consistent chain exists,
       and construction raises SupportSplitError.
 
@@ -244,23 +279,27 @@ class Realization:
             return self._kernel
         return self._family.kernel_at(max(t, self.schedule.first_time))
 
-    def _table(self, level: int) -> TransitionTable:
-        table = self._tables.get(level)
-        if table is None:
-            kernel = (
-                self._kernel if self._family is None else self._family.kernel_for_level(level)
-            )
-            table = TransitionTable.from_kernel(kernel, self.graph.labels)
-            self._tables[level] = table
-        return table
+    def _build_tables(self, levels: list[int | None]) -> None:
+        """Tabulate every level in `levels` not tabulated yet (None is a
+        hold), the smoothing levels in batches."""
+        missing = [l for l in dict.fromkeys(levels) if l is not None and l not in self._tables]
+        if not missing:
+            return
+        if self._family is None:
+            self._tables[0] = TransitionTable.from_kernel(self._kernel, self.graph.labels)
+            return
+        for batch, built in self._family.level_batches(missing):
+            tables = TransitionTable.from_levels(built, self.nodes, self.graph.n)
+            self._tables.update(zip(batch, tables))
 
-    def _segment(self, t: int, remaining: int) -> tuple[int, TransitionTable | None]:
+    def _segment(self, t: int, remaining: int) -> tuple[int, int | None]:
         """How many of the next `remaining` transitions, from time t on, share
-        one table, and that table (None while the chain holds)."""
+        one kernel, and its smoothing level (0 for the one kernel of a
+        connected support, None while the chain holds)."""
         if self.case is CaseLabel.POINT_MASS:
             return remaining, None
         if self.case is CaseLabel.SUPPORT_CONNECTED:
-            return remaining, self._table(0)
+            return remaining, 0
         schedule = self.schedule
         if t < schedule.first_time:
             return min(schedule.first_time - t, remaining), None
@@ -274,7 +313,7 @@ class Realization:
             interval += 1
             end = schedule.interval_end(interval)
         count = remaining if end is None else min(end - t, remaining)
-        return count, self._table(level)
+        return count, level
 
     def run(
         self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray, t0: int = 0
@@ -282,19 +321,26 @@ class Realization:
         """Fill out[0:steps] with states in graph node order: out[0] is
         start_node, and out[i + 1] follows out[i] by the kernel in force at
         transition time t0 + i. One uniform per kernel transition, none while
-        the chain holds."""
+        the chain holds. The levels the run visits are tabulated before it
+        starts."""
         if start_node not in self._members:
             raise ValueError("start node is not a state of the target's chain")
-        out[0] = node = start_node
+        segments = []
         filled, t = 1, t0
         while filled < steps:
-            count, table = self._segment(t, steps - filled)
-            if table is None:
-                out[filled : filled + count] = node
-            else:
-                node = _advance(table, node, stream, count, out, filled)
+            count, level = self._segment(t, steps - filled)
+            segments.append((count, level))
             filled += count
             t += count
+        self._build_tables([level for _, level in segments])
+        out[0] = node = start_node
+        filled = 1
+        for count, level in segments:
+            if level is None:
+                out[filled : filled + count] = node
+            else:
+                node = _advance(self._tables[level], node, stream, count, out, filled)
+            filled += count
 
 
 def run_homogeneous(

@@ -71,6 +71,14 @@ RUNS = {
         "mcmc-run", "{in}/graph.json", "{in}/target_zero.json", "--steps", "20000",
         "--seed", "9",
     ],
+    "mcmc-run-generated-ring60-arc": [
+        "mcmc-run", "{in}/graph.json", "{in}/target_arc.json", "--steps", "20000",
+        "--seed", "10",
+    ],
+    "mcmc-run-generated-ring60-restricted": [
+        "mcmc-run", "{in}/ring_path_graph.json", "{in}/ring_path_target.json",
+        "--steps", "20000", "--seed", "11",
+    ],
 }
 
 
@@ -101,9 +109,12 @@ def write_generated_game(folder: Path) -> None:
 
 def write_generated_ring(folder: Path) -> None:
     """A 60-node ring with a chord every 9 nodes (diameter well above 3), a
-    strictly positive target with masses 1..7 up to normalization, and a
-    target whose mass sits on three pairwise non-adjacent nodes, which the
-    chain realizes by smoothing."""
+    strictly positive target with masses 1..7 up to normalization, a target
+    whose mass sits on three pairwise non-adjacent nodes, which the chain
+    realizes by smoothing, and a target positive on the arc v0..v39 only,
+    whose chain lives on that connected strict subset. Also the ring beside
+    a disjoint 3-node path, listed first, with a target on two non-adjacent
+    ring nodes: its smoothed chain is restricted to the ring's component."""
     n = 60
     labels = [f"v{i}" for i in range(n)]
     edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
@@ -116,6 +127,17 @@ def write_generated_ring(folder: Path) -> None:
     formats.dump_json(
         {lab: {0: 0.4, 17: 0.35, 41: 0.25}.get(i, 0.0) for i, lab in enumerate(labels)},
         folder / "target_zero.json",
+    )
+    formats.dump_json(
+        {lab: float(i % 5 + 1) / 120 if i < 40 else 0.0 for i, lab in enumerate(labels)},
+        folder / "target_arc.json",
+    )
+    path = ["p0", "p1", "p2"]
+    edges += [[path[0], path[1]], [path[1], path[2]]]
+    formats.dump_json({"nodes": path + labels, "edges": edges}, folder / "ring_path_graph.json")
+    formats.dump_json(
+        {lab: {"v5": 0.6, "v22": 0.4}.get(lab, 0.0) for lab in path + labels},
+        folder / "ring_path_target.json",
     )
 
 DIGESTS = {
@@ -178,6 +200,20 @@ DIGESTS = {
         "summary.json": "b7343c40b7403439b6525c4a19367dcfb45b179da2810ccee6ee97b44f865f21",
         "trace.csv": "8997a9cb263afc82ee6c3cf62036f17692d49cab2f40eee7935327116a387bac",
         "tv_series.csv": "5e5afbe9878304650a19065b9ef17c9841fe7a136e5ccd8daa7a26099f7e3490",
+    },
+    "mcmc-run-generated-ring60-arc": {
+        "empirical.csv": "24f7a720ee42154dd5d3f31ed55483be4a5ca0aff1c27d06a9b103cc3071e581",
+        "kernel.csv": "81e726d22b1769fdd6297b28ba456533afbf06670fab06da6186891c49e37fe0",
+        "summary.json": "ffa976ff4ea1ead98d1595089304ad73b1384abb23e4fdd2003f59a3bf11c14a",
+        "trace.csv": "770899de97dc73e27f7e27ce1c93f8b9ae210cf2e096d45c2c4d299315ac3bd3",
+        "tv_series.csv": "533fd2fdacbeee598052a5b4524c7b96725054e6669c72cb0bf5b562f15dc18d",
+    },
+    "mcmc-run-generated-ring60-restricted": {
+        "empirical.csv": "61c19e19757853825801d6cf9292c0b1fcc00d8ff83e00e621faebb47e0f08bc",
+        "kernel.csv": "2cc90832c0d01590fe750513f818f4febd50dead6b887aa061b22075bfb45153",
+        "summary.json": "7de0c06c253b23b7da00401bd21e8e2aedff0e8fe61cf9a2ef23fd9b015d3f0b",
+        "trace.csv": "6973b2c9c3705186fcf71fff185564bec6ff8bacbabb8bb613b9b74174aa4ea9",
+        "tv_series.csv": "c6223240bdaee60af5e8f7cc8a30932f87d0cb86b64108d563cfea6ff3548bec",
     },
     "mcmc-run-generated-ring60-smoothed": {
         "empirical.csv": "9d800a11a2d5fe0ea85f2f32a40b14b38046f5a4065f0dd82b27e7d7a0bdf100",

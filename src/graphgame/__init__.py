@@ -4,7 +4,6 @@ chains, and repeated play."""
 from .chains import (
     CaseLabel,
     Schedule,
-    SmoothedKernelFamily,
     SupportSplitError,
     TransitionKernel,
     build_kernel,
@@ -62,6 +61,7 @@ from .repeated import (
 from .simulate import (
     ComponentSpec,
     ProductChainSpec,
+    Realization,
     Trace,
     empirical_distribution,
     ergodic_average,

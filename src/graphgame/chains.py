@@ -18,7 +18,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ ROW_SUM_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
 # float64 values in one block of `dobrushin`'s row-pair minima (16 MB)
 DOBRUSHIN_BLOCK = 1 << 21
-# padded kernel entries in one batch of smoothing levels (2 MB per array)
-LEVEL_BLOCK = 1 << 18
 
 
 class ChainError(Exception):
@@ -54,10 +52,6 @@ class SupportSplitError(ChainError):
     chain can realize it."""
 
 
-class CaseMismatchError(ChainError):
-    """The requested construction does not apply to this target/graph case."""
-
-
 class ScheduleError(ChainError):
     """Time outside the schedule's domain or malformed switch times."""
 
@@ -75,17 +69,30 @@ class CaseLabel(Enum):
 
 def classify_case(g: Graph, mu: Distribution) -> CaseLabel:
     """Which chain construction (if any) can realize `mu` on `g`."""
+    return chain_case(g, mu)[0]
+
+
+def chain_case(g: Graph, mu: Distribution) -> tuple[CaseLabel, Graph | None]:
+    """The case of `mu` on `g` with the connected graph its chain lives on:
+    the subgraph induced by the support when the support is connected (a
+    point mass is), else the component holding the support, which is `g`
+    itself when it spans `g`; None when the support is split. The kernels'
+    float sums follow that graph's neighbour order, so it is built this way
+    and no other."""
     if mu.n != g.n:
         raise ValueError("distribution and graph have different sizes")
     support = [g.labels[i] for i in mu.support()]
+    restricted = induced_subgraph(g, support)
     if len(support) == 1:
-        return CaseLabel.POINT_MASS
-    if len(connected_components(induced_subgraph(g, support))) == 1:
-        return CaseLabel.SUPPORT_CONNECTED
+        return CaseLabel.POINT_MASS, restricted
+    if len(connected_components(restricted)) == 1:
+        return CaseLabel.SUPPORT_CONNECTED, restricted
     for comp in connected_components(g):
-        if set(support) <= comp:
-            return CaseLabel.SUPPORT_IN_COMPONENT
-    return CaseLabel.SUPPORT_SPLIT
+        if comp.issuperset(support):
+            return CaseLabel.SUPPORT_IN_COMPONENT, (
+                induced_subgraph(g, comp) if len(comp) < g.n else g
+            )
+    return CaseLabel.SUPPORT_SPLIT, None
 
 
 def min_valid_k(mu: Distribution) -> int:
@@ -460,56 +467,3 @@ class Schedule:
 
     def __repr__(self) -> str:
         return f"Schedule({self.label})"
-
-
-class SmoothedKernelFamily:
-    """Schedule-indexed kernels for one target on one graph.
-
-    Applies only when the target's support is disconnected inside a single
-    component; the state space is restricted to that component before any
-    kernel is built.
-    """
-
-    def __init__(self, mu: Distribution, g: Graph, schedule: Schedule):
-        case = classify_case(g, mu)
-        if case is CaseLabel.SUPPORT_SPLIT:
-            raise SupportSplitError(
-                "target support spans several components; no consistent chain exists"
-            )
-        if case is not CaseLabel.SUPPORT_IN_COMPONENT:
-            raise CaseMismatchError(
-                f"schedule-driven smoothing applies to disconnected support inside "
-                f"one component, not to {case.value}"
-            )
-        support_labels = {g.labels[i] for i in mu.support()}
-        component = next(
-            comp for comp in connected_components(g) if support_labels <= comp
-        )
-        if len(component) < g.n:
-            self.graph = induced_subgraph(g, component)
-            keep = [g.index(lab) for lab in self.graph.labels]
-            self.mu = Distribution(mu.masses[keep])
-        else:
-            self.graph = g
-            self.mu = mu
-        self.schedule = schedule
-        self._core = KernelCore(self.graph)
-
-    def kernel_for_level(self, k: int) -> TransitionKernel:
-        return self._core.kernel(smooth(self.mu, k).smoothed)
-
-    def kernel_for_interval(self, l: int) -> TransitionKernel:
-        return self.kernel_for_level(self.schedule.smoothing_index(l))
-
-    def kernel_at(self, t: int) -> TransitionKernel:
-        return self.kernel_for_interval(self.schedule.interval_index(t))
-
-    def level_batches(self, ks: Sequence[int]) -> Iterator[tuple[Sequence[int], KernelLevels]]:
-        """The kernels at smoothing levels `ks`, built together in batches of
-        at most LEVEL_BLOCK padded entries (one level when a level exceeds
-        it); yields each batch's levels with their kernels."""
-        step = max(1, LEVEL_BLOCK // self._core.cols.size)
-        for i in range(0, len(ks), step):
-            batch = ks[i : i + step]
-            masses, _ = _smoothed_masses(self.mu.masses, batch)
-            yield batch, self._core.levels(masses)

@@ -20,15 +20,15 @@ import numpy as np
 from .chains import (
     CaseLabel,
     GapConditionError,
+    KernelCore,
     KernelLevels,
     Schedule,
-    SmoothedKernelFamily,
     SupportSplitError,
     TransitionKernel,
-    build_kernel,
-    classify_case,
+    _smoothed_masses,
+    chain_case,
 )
-from .graphs import Graph, induced_subgraph, joint_labels
+from .graphs import Graph, joint_labels
 from .mixed import Distribution
 
 
@@ -133,6 +133,8 @@ def _table_rows(values: np.ndarray, succ: np.ndarray) -> tuple[list, list]:
 
 
 _BLOCK = 1 << 16  # uniforms drawn per block, which bounds a run's memory
+# padded kernel entries in one batch of levels (2 MB per array)
+LEVEL_BLOCK = 1 << 18
 
 
 def _advance(
@@ -226,14 +228,16 @@ class Realization:
     """How one target is realized on one graph: the four-case dispatch.
 
     - point mass: the chain holds on the atom and draws nothing;
-    - connected support: one kernel on the support;
+    - connected support: one kernel on the support, level 0;
     - support disconnected inside one component: the smoothing-schedule
-      kernels on that component, tabulated per smoothing level when a run
-      first visits it, all of a run's new levels in one batch;
+      kernels on that component, one per smoothing level k >= 1;
       `schedule_factory` is called in this case only;
     - support split across components: no graph-consistent chain exists,
       and construction raises SupportSplitError.
 
+    Construction classifies and restricts the graph once and builds no
+    kernel. A run tabulates the levels it visits that are not tabulated
+    yet, all in one batch; `kernel_at` builds a dense kernel on request.
     `nodes` are the states the chain lives on, in graph node order.
     """
 
@@ -244,53 +248,55 @@ class Realization:
         schedule_factory: Callable[[], Schedule] | None = None,
     ):
         self.graph = graph
-        self.case = classify_case(graph, target)
-        self.schedule: Schedule | None = None
-        self._family: SmoothedKernelFamily | None = None
-        self._kernel: TransitionKernel | None = None
-        self._tables: dict[int, TransitionTable] = {}
+        self.case, chain_graph = chain_case(graph, target)
         if self.case is CaseLabel.SUPPORT_SPLIT:
             raise SupportSplitError(
                 "target support spans several graph components; no consistent "
                 "chain can realize this target"
             )
+        self.schedule: Schedule | None = None
         if self.case is CaseLabel.SUPPORT_IN_COMPONENT:
             if schedule_factory is None:
                 raise ValueError("a schedule is required when the target needs smoothing")
             self.schedule = schedule_factory()
-            self._family = SmoothedKernelFamily(target, graph, self.schedule)
-            members = self._family.graph.labels
-        else:
-            support = list(target.support())
-            members = [graph.labels[i] for i in support]
-            self._kernel = build_kernel(
-                Distribution(target.masses[support]), induced_subgraph(graph, members)
-            )
-        self.nodes = tuple(graph.index(lab) for lab in members)
+        self.nodes = tuple(graph.index(lab) for lab in chain_graph.labels)
         self._members = frozenset(self.nodes)
+        self._masses = target.masses[list(self.nodes)]
+        self._core = KernelCore(chain_graph)
+        self._tables: dict[int, TransitionTable] = {}
 
     def __contains__(self, node: int) -> bool:
         return node in self._members
 
+    def _level_masses(self, levels: Sequence[int]) -> np.ndarray:
+        """The (L, n) masses on the chain's states at each level: the target
+        itself at level 0, its smoothing at level k when it needs one."""
+        if self.schedule is None:
+            return np.broadcast_to(self._masses, (len(levels), self._masses.size))
+        return _smoothed_masses(self._masses, levels)[0]
+
     def kernel_at(self, t: int) -> TransitionKernel:
-        """The kernel in force at transition time t. A schedule's chain holds
-        still before the first switch time; those times map to its kernel."""
-        if self._family is None:
-            return self._kernel
-        return self._family.kernel_at(max(t, self.schedule.first_time))
+        """The dense kernel in force at transition time t. A schedule's chain
+        holds still before the first switch time; those times map to its
+        first kernel."""
+        level = 0
+        if self.schedule is not None:
+            schedule = self.schedule
+            level = schedule.smoothing_index(schedule.interval_index(max(t, schedule.first_time)))
+        return self._core.kernel(Distribution(self._level_masses([level])[0]))
 
     def _build_tables(self, levels: list[int | None]) -> None:
         """Tabulate every level in `levels` not tabulated yet (None is a
-        hold), the smoothing levels in batches."""
+        hold), in batches of at most LEVEL_BLOCK padded entries (one level
+        when a level exceeds it)."""
         missing = [l for l in dict.fromkeys(levels) if l is not None and l not in self._tables]
-        if not missing:
-            return
-        if self._family is None:
-            self._tables[0] = TransitionTable.from_kernel(self._kernel, self.graph.labels)
-            return
-        for batch, built in self._family.level_batches(missing):
-            tables = TransitionTable.from_levels(built, self.nodes, self.graph.n)
-            self._tables.update(zip(batch, tables))
+        step = max(1, LEVEL_BLOCK // self._core.cols.size)
+        for i in range(0, len(missing), step):
+            batch = missing[i : i + step]
+            built = self._core.levels(self._level_masses(batch))
+            self._tables.update(
+                zip(batch, TransitionTable.from_levels(built, self.nodes, self.graph.n))
+            )
 
     def _segment(self, t: int, remaining: int) -> tuple[int, int | None]:
         """How many of the next `remaining` transitions, from time t on, share

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from graphgame.chains import (
     DOBRUSHIN_BLOCK,
     CaseLabel,
-    CaseMismatchError,
     EmptyLowSetError,
     NonPositiveTargetError,
     NotConnectedError,
     Schedule,
     ScheduleError,
-    SmoothedKernelFamily,
-    SupportSplitError,
     TransitionKernel,
     build_kernel,
     classify_case,
@@ -401,49 +398,3 @@ class TestSchedule:
         for max_exponent in (1, 5, 50):
             capped = Schedule.counterexample(max_exponent)
             assert capped.interval_index(10**6) == max_exponent
-
-
-class TestKernelFamily:
-    def test_interval_membership(self, example_graph):
-        mu = dist(0.5, 0.5, 0.0, 0.0)
-        sched = power_gap_quiet()
-        family = SmoothedKernelFamily(mu, example_graph, sched)
-        for k in (1, 2, 4):
-            t = sched.time_at(k)
-            a = family.kernel_at(t)
-            b = family.kernel_for_level(k)
-            assert np.array_equal(a.matrix, b.matrix)
-            end = sched.time_at(k + 1) - 1
-            assert np.array_equal(family.kernel_at(end).matrix, a.matrix)
-
-    def test_counterexample_top_state_self_transition(self, example_graph):
-        mu = dist(0.5, 0.5, 0.0, 0.0)
-        family = SmoothedKernelFamily(mu, example_graph, Schedule.counterexample())
-        for l in range(1, 20):
-            kernel = family.kernel_at(l)
-            assert kernel.state_labels[0] == "s1"
-            assert kernel.matrix[0, 0] == 1.0 - 2.0 ** -(l + 1)
-            assert kernel.p == 2.0 ** -(l + 1)
-
-    def test_split_support_rejected(self):
-        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        with pytest.raises(SupportSplitError):
-            SmoothedKernelFamily(dist(0.5, 0, 0.5, 0), g, power_gap_quiet())
-
-    def test_wrong_case_rejected(self):
-        g = path_graph(["a", "b", "c"])
-        with pytest.raises(CaseMismatchError):
-            SmoothedKernelFamily(dist(0.5, 0.5, 0.0), g, power_gap_quiet())
-        with pytest.raises(CaseMismatchError):
-            SmoothedKernelFamily(dist(0, 1, 0), g, power_gap_quiet())
-
-    def test_component_restriction(self):
-        g = Graph(
-            ["a", "b", "c", "x", "y"],
-            [("a", "b"), ("b", "c"), ("x", "y")],
-        )
-        mu = dist(0.5, 0.0, 0.5, 0.0, 0.0)
-        family = SmoothedKernelFamily(mu, g, power_gap_quiet())
-        assert family.graph.labels == ("a", "b", "c")
-        kernel = family.kernel_for_level(3)
-        assert set(kernel.state_labels) == {"a", "b", "c"}

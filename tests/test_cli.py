@@ -156,6 +156,25 @@ class TestMcmcRun:
         )
         assert code == 3
 
+    def test_schedule_unread_without_smoothing(self, tmp_path):
+        """A connected support needs no schedule, so a malformed one is
+        never parsed."""
+        code = main(
+            [
+                "mcmc-run",
+                str(FIXTURES / "path5_graph.json"),
+                str(FIXTURES / "uniform5_target.json"),
+                "--steps",
+                "100",
+                "--schedule",
+                "bogus",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert read_json(tmp_path / "summary.json")["schedule"] is None
+
     def test_zero_steps_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(
@@ -368,7 +387,6 @@ class TestInputErrors:
         [
             (chains.ChainError, 2),
             (chains.GapConditionError, 2),
-            (chains.CaseMismatchError, 2),
             (chains.SupportSplitError, 3),
         ],
     )

@@ -15,18 +15,17 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphgame import chains
+from graphgame import simulate
 from graphgame.chains import (
     CaseLabel,
     KernelCore,
     Schedule,
-    SmoothedKernelFamily,
     TransitionKernel,
     build_kernel,
     classify_case,
     smooth,
 )
-from graphgame.graphs import Graph
+from graphgame.graphs import Graph, induced_subgraph
 from graphgame.mixed import Distribution
 from graphgame.simulate import Realization, TransitionTable, make_stream, run_nonhomogeneous
 
@@ -157,14 +156,14 @@ class TestSmoothingLevels:
             min_size=1,
             max_size=12,
         ),
-        block=st.sampled_from([1, 64, chains.LEVEL_BLOCK]),
+        block=st.sampled_from([1, 64, simulate.LEVEL_BLOCK]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batched_tables_match_per_level_tables(self, n, others, ks, block, seed):
         """Smoothing levels up to the counterexample cap, on a component
         with shuffled edges that may sit next to another component: the
-        batched tables equal the per-level tables list for list, whatever
-        the batch size."""
+        tables a Realization builds in batches equal the per-level tables on
+        the component's graph list for list, whatever the batch size."""
         rng = random.Random(seed)
         labels = [f"v{i}" for i in range(n)]
         rest = [f"w{i}" for i in range(others)]
@@ -188,19 +187,32 @@ class TestSmoothingLevels:
             masses[:] = 0.0
             masses[[a, b]] = 0.5
             mu = Distribution(masses)
-        family = SmoothedKernelFamily(mu, g, quiet_power_gap())
-        realization_nodes = [g.index(lab) for lab in family.graph.labels]
-        with mock.patch.object(chains, "LEVEL_BLOCK", block):
-            batches = list(family.level_batches(ks))
-        assert [k for batch, _ in batches for k in batch] == ks
-        for batch, built in batches:
-            tables = TransitionTable.from_levels(built, realization_nodes, g.n)
-            for k, table in zip(batch, tables):
-                kernel = build_kernel(smooth(family.mu, k).smoothed, family.graph)
-                expected = TransitionTable.from_kernel(kernel, g.labels)
-                assert table.cum == expected.cum and table.succ == expected.succ
-                reference = loop_kernel(smooth(family.mu, k).smoothed, family.graph)
-                assert (table.cum, table.succ) == loop_table(reference, g.labels)
+        realization = Realization(mu, g, quiet_power_gap)
+        sizes = []
+        levels = KernelCore.levels
+
+        def counted(core, masses):
+            sizes.append(len(masses))
+            return levels(core, masses)
+
+        with mock.patch.object(simulate, "LEVEL_BLOCK", block):
+            with mock.patch.object(KernelCore, "levels", counted):
+                realization._build_tables(ks)
+        unique = list(dict.fromkeys(ks))
+        step = max(1, block // realization._core.cols.size)
+        assert sizes == [min(step, len(unique) - i) for i in range(0, len(unique), step)]
+        # the component's graph, built independently of the realization
+        component = induced_subgraph(g, labels) if rest else g
+        # every load is summed in the neighbour order of the `cols` layout
+        assert np.array_equal(realization._core.cols, KernelCore(component).cols)
+        restricted = Distribution(mu.masses[[g.index(lab) for lab in component.labels]])
+        for k in unique:
+            table = realization._tables[k]
+            kernel = build_kernel(smooth(restricted, k).smoothed, component)
+            expected = TransitionTable.from_kernel(kernel, g.labels)
+            assert table.cum == expected.cum and table.succ == expected.succ
+            reference = loop_kernel(smooth(restricted, k).smoothed, component)
+            assert (table.cum, table.succ) == loop_table(reference, g.labels)
 
     def test_run_builds_its_levels_in_one_batch(self, example_graph):
         """200 counterexample steps visit the levels 2**1 .. 2**50: one run

@@ -2,6 +2,7 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgame.chains import (
+    KernelCore,
     Schedule,
     SupportSplitError,
     TransitionKernel,
@@ -20,6 +22,7 @@ from graphgame.graphs import (
     Graph,
     complete_graph,
     connected_components,
+    induced_subgraph,
     path_graph,
     strong_product,
 )
@@ -40,6 +43,7 @@ from graphgame.simulate import (
     verify_consistency,
 )
 from graphgame.chains import GapConditionError
+from graphgame.repeated import ConstantPolicy
 
 
 def dist(*masses):
@@ -223,6 +227,79 @@ class TestNonhomogeneous:
         )
         assert trace.counts[3] == 0 and trace.counts[4] == 0
         assert verify_consistency(trace, g)
+
+
+class TestRealization:
+    """The schedule-indexed kernels a Realization builds, and what its
+    construction leaves unbuilt."""
+
+    def test_interval_membership(self, example_graph):
+        mu = dist(0.5, 0.5, 0.0, 0.0)
+        sched = power_gap_quiet()
+        realization = Realization(mu, example_graph, lambda: sched)
+        for k in (1, 2, 4):
+            a = realization.kernel_at(sched.time_at(k))
+            b = build_kernel(smooth(mu, k).smoothed, example_graph)
+            assert np.array_equal(a.matrix, b.matrix)
+            assert a.state_labels == b.state_labels
+            end = sched.time_at(k + 1) - 1
+            assert np.array_equal(realization.kernel_at(end).matrix, a.matrix)
+
+    def test_counterexample_top_state_self_transition(self, example_graph):
+        mu = dist(0.5, 0.5, 0.0, 0.0)
+        realization = Realization(mu, example_graph, Schedule.counterexample)
+        for l in range(1, 20):
+            kernel = realization.kernel_at(l)
+            assert kernel.state_labels[0] == "s1"
+            assert kernel.matrix[0, 0] == 1.0 - 2.0 ** -(l + 1)
+            assert kernel.p == 2.0 ** -(l + 1)
+
+    def test_split_support_rejected(self):
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        with pytest.raises(SupportSplitError):
+            Realization(dist(0.5, 0, 0.5, 0), g, power_gap_quiet)
+
+    def test_component_restriction(self):
+        g = Graph(
+            ["x", "a", "b", "c", "y"],
+            [("a", "b"), ("b", "c"), ("x", "y")],
+        )
+        mu = dist(0.0, 0.5, 0.0, 0.5, 0.0)
+        sched = power_gap_quiet()
+        realization = Realization(mu, g, lambda: sched)
+        assert realization.nodes == (1, 2, 3)
+        kernel = realization.kernel_at(sched.time_at(3))
+        restricted = induced_subgraph(g, ["a", "b", "c"])
+        reference = build_kernel(smooth(dist(0.5, 0.0, 0.5), 3).smoothed, restricted)
+        assert set(kernel.state_labels) == {"a", "b", "c"}
+        assert kernel.state_labels == reference.state_labels
+        assert np.array_equal(kernel.matrix, reference.matrix)
+
+    def test_schedule_factory_called_only_for_smoothing(self):
+        def no_schedule():
+            raise AssertionError("schedule requested")
+
+        g = path_graph(["a", "b", "c"])
+        for mu in (dist(0, 1, 0), dist(0.5, 0.5, 0.0)):
+            assert Realization(mu, g, no_schedule).schedule is None
+        with pytest.raises(AssertionError):
+            Realization(dist(0.5, 0.0, 0.5), g, no_schedule)
+
+    def test_construction_builds_no_kernel(self, example_graph):
+        calls = []
+        levels = KernelCore._levels
+
+        def counted(core, masses):
+            calls.append(len(masses))
+            return levels(core, masses)
+
+        with mock.patch.object(KernelCore, "_levels", counted):
+            for mu in (dist(0, 0, 1, 0), dist(0.5, 0, 0.5, 0), dist(0.5, 0.5, 0, 0)):
+                Realization(mu, example_graph, power_gap_quiet)
+            ConstantPolicy(example_graph, 2)
+            assert calls == []
+            Realization(dist(0.5, 0, 0.5, 0), example_graph).kernel_at(0)
+        assert calls == [1]
 
 
 class TestProduct:

@@ -176,8 +176,8 @@ def cmd_mcmc_run(args) -> int:
 
     formats.dump_trace_csv(trace, out / "trace.csv")
     formats.dump_empirical_csv(trace, out / "empirical.csv")
-    # prefix counts at every checkpoint: one bincount per segment between
-    # consecutive checkpoints, summed cumulatively
+    # the counts over the first t states at every checkpoint t, from one
+    # bincount per segment between checkpoints
     checkpoints = _tv_checkpoints(args.steps)
     segments = zip([0, *checkpoints], checkpoints)
     prefix = np.cumsum(

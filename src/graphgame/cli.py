@@ -166,7 +166,7 @@ def cmd_mcmc_run(args) -> int:
     # single chain: the product-run minimum-gap requirement does not apply,
     # and the counterexample schedule exists precisely to violate it
     spec = ProductChainSpec(
-        components=(ComponentSpec(target=target, graph=g, schedule=schedule),),
+        components=(ComponentSpec.of(realization),),
         steps=args.steps,
         seed=args.seed,
         gap_c=0,
@@ -176,17 +176,15 @@ def cmd_mcmc_run(args) -> int:
 
     formats.dump_trace_csv(trace, out / "trace.csv")
     formats.dump_empirical_csv(trace, out / "empirical.csv")
-    # the counts over the first t states at every checkpoint t, from one
-    # bincount per segment between checkpoints
-    checkpoints = _tv_checkpoints(args.steps)
-    segments = zip([0, *checkpoints], checkpoints)
-    prefix = np.cumsum(
-        [np.bincount(trace.states[a:b], minlength=g.n) for a, b in segments], axis=0
-    )
-    series = [
-        (t, float(np.abs(counts / t - target.masses).sum() / 2))
-        for t, counts in zip(checkpoints, prefix)
-    ]
+    # the counts over the first t states at every checkpoint t, one running
+    # sum of one bincount per segment between checkpoints
+    counts = np.zeros(g.n, dtype=np.intp)
+    series = []
+    done = 0
+    for t in _tv_checkpoints(args.steps):
+        counts += np.bincount(trace.states[done:t], minlength=g.n)
+        done = t
+        series.append((t, float(np.abs(counts / t - target.masses).sum() / 2)))
     formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
     # the kernel driving the last transition
     formats.dump_kernel_csv(realization.kernel_at(args.steps - 2), out / "kernel.csv")

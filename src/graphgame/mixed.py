@@ -11,7 +11,7 @@ at a point mass, so checking pure deviations is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,12 @@ MASS_TOL = 1e-12
 TIE_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 FICTITIOUS_PLAY_CAP = 100_000
+SCREEN_BLOCK = 1 << 15  # system entries screened per batch of support pairs
+SCREEN_MARGIN = 1e-6  # relative widening of the per-pair tests in the screen
+# a system is not trusted by the screen when a singular value lies above
+# lstsq's cutoff / NEAR_CUTOFF and below SCREEN_COND times the largest
+NEAR_CUTOFF = 10.0
+SCREEN_COND = 1e-6
 
 
 class NoConvergenceError(Exception):
@@ -177,17 +183,55 @@ def pure_in_mixed(game: GGame, profile: Profile) -> bool:
     return is_mixed_c_equilibrium(game, MixedProfile.dirac(game, profile), tol=0.0)
 
 
-def _support_pairs(m: int, n: int):
-    """Nonempty support pairs (I, J), lazily, in Porter-Nudelman-Shoham order:
-    by ||I| - |J|| (balanced pairs, where a nondegenerate game's equilibria
-    lie, first), then |I| + |J|, then |I|, then lexicographically."""
+def _support_blocks(m: int, n: int):
+    """Support sizes (|I|, |J|) of the nonempty support pairs, in
+    Porter-Nudelman-Shoham order: by ||I| - |J|| (balanced pairs, where a
+    nondegenerate game's equilibria lie, first), then |I| + |J|, then |I|.
+    Within a block the pairs run lexicographically, as
+    product(combinations(m, |I|), combinations(n, |J|)) yields them."""
     for gap in range(max(m, n)):
         for total in range(gap + 2, m + n + 1, 2):
             for size in sorted({(total - gap) // 2, (total + gap) // 2}):
                 if size <= m and total - size <= n:
-                    yield from product(
-                        combinations(range(m), size), combinations(range(n), total - size)
-                    )
+                    yield size, total - size
+
+
+def _screened_pairs(a: np.ndarray, b: np.ndarray, certify_tol: float):
+    """Support pairs (I, J) as index arrays, in the order of
+    `_support_blocks`, without the pairs that `_support_pair_profile`
+    certainly rejects.
+
+    Pure pairs are screened in closed form: the per-pair solve finds their
+    mixtures as exact point masses or not at all, so certification compares
+    a[i, j] with the best reply to column j, and b[i, j] with the best reply
+    to row i. Other blocks are screened in batches of at most SCREEN_BLOCK
+    system entries by `_screen`; a block of one pair is not screened, since
+    screening costs more than its solve."""
+    m, n = a.shape
+    slack = certify_tol + SCREEN_MARGIN
+    for size_x, size_y in _support_blocks(m, n):
+        if size_x == size_y == 1:
+            # in Python floats: on small games numpy's per-call cost dominates
+            rows_a, rows_b = a.tolist(), b.tolist()
+            best_a = [max(column) - slack for column in zip(*rows_a)]
+            best_b = [max(row) - slack for row in rows_b]
+            for i in range(m):
+                for j in range(n):
+                    if rows_a[i][j] >= best_a[j] and rows_b[i][j] >= best_b[i]:
+                        yield np.array([i]), np.array([j])
+            continue
+        xs = np.array(list(combinations(range(m), size_x)))
+        ys = np.array(list(combinations(range(n), size_y)))
+        count = len(xs) * len(ys)
+        if count == 1:
+            yield xs[0], ys[0]
+            continue
+        step = max(1, SCREEN_BLOCK // ((size_x + 1) * (size_y + 1)))
+        for start in range(0, count, step):
+            pairs = np.arange(start, min(start + step, count))
+            ix, iy = xs[pairs // len(ys)], ys[pairs % len(ys)]
+            keep = np.flatnonzero(_screen(a, b, ix, iy, certify_tol))
+            yield from zip(ix[keep], iy[keep])
 
 
 def _support_enumeration_two(game: GGame, certify_tol: float) -> MixedProfile:
@@ -196,26 +240,120 @@ def _support_enumeration_two(game: GGame, certify_tol: float) -> MixedProfile:
     For supports (I, J), each coalition's mixture must equalize the other's
     payoff across its support; the linear systems are solved directly and
     the assembled profile kept only if it certifies as an equilibrium.
+    A batched screen drops only pairs that this solve rejects, so the first
+    pair that certifies, and its profile, are those of trying every pair.
     """
     a, b = game.payoffs
-    m, n = game.dims
-    for supp_x, supp_y in _support_pairs(m, n):
-        ix, iy = np.array(supp_x), np.array(supp_y)
-        x = _equalizing_mixture(b[ix[:, None], iy].T)
-        if x is None:
-            continue
-        y = _equalizing_mixture(a[ix[:, None], iy])
-        if y is None:
-            continue
-        fx = np.zeros(m)
-        fx[ix] = x
-        fy = np.zeros(n)
-        fy[iy] = y
-        candidate = MixedProfile((Distribution(fx), Distribution(fy)))
-        if is_mixed_c_equilibrium(game, candidate, tol=certify_tol):
+    for ix, iy in _screened_pairs(a, b, certify_tol):
+        candidate = _support_pair_profile(game, ix, iy, certify_tol)
+        if candidate is not None:
             return candidate
     # every game has an equilibrium: reached only if least squares missed one
     raise NoConvergenceError("support enumeration certified no support pair")
+
+
+def _support_pair_profile(
+    game: GGame, ix: np.ndarray, iy: np.ndarray, certify_tol: float
+) -> MixedProfile | None:
+    """The profile of supports (ix, iy) if both equalizing mixtures exist
+    and the profile certifies, else None."""
+    a, b = game.payoffs
+    m, n = game.dims
+    x = _equalizing_mixture(b[ix[:, None], iy].T)
+    if x is None:
+        return None
+    y = _equalizing_mixture(a[ix[:, None], iy])
+    if y is None:
+        return None
+    fx = np.zeros(m)
+    fx[ix] = x
+    fy = np.zeros(n)
+    fy[iy] = y
+    candidate = MixedProfile((Distribution(fx), Distribution(fy)))
+    if is_mixed_c_equilibrium(game, candidate, tol=certify_tol):
+        return candidate
+    return None
+
+
+def _screen(
+    a: np.ndarray, b: np.ndarray, ix: np.ndarray, iy: np.ndarray, certify_tol: float
+) -> np.ndarray:
+    """For support pairs (ix[p], iy[p]) of one block, False where
+    `_support_pair_profile` certainly returns None, True where it may not.
+
+    The tests are `_support_pair_profile`'s, on the solutions of one batched
+    SVD per coalition, with margins SCREEN_MARGIN wider relative to the
+    payoff and solution scales. A pair whose solutions are not trusted
+    (`_screen_mixtures`) is dropped only when a trusted system of it fails."""
+    count = len(ix)
+    sub_a = a[ix[:, :, None], iy[:, None, :]]
+    sub_b = b[ix[:, :, None], iy[:, None, :]]
+    try:
+        x, sure_x, reject_x, mag_x = _screen_mixtures(sub_b.transpose(0, 2, 1))
+        y, sure_y, reject_y, mag_y = _screen_mixtures(sub_a)
+    except np.linalg.LinAlgError:  # an SVD did not converge: keep the whole batch
+        return np.ones(count, dtype=bool)
+    rows = np.arange(count)[:, None]
+    fx = np.zeros((count, a.shape[0]))
+    fx[rows, ix] = x
+    fy = np.zeros((count, a.shape[1]))
+    fy[rows, iy] = y
+    # is_mixed_c_equilibrium: each coalition's payoff against its best reply
+    va = fy @ a.T
+    vb = fx @ b
+    slack = SCREEN_MARGIN * (1.0 + mag_x + mag_y)
+    fail = (
+        np.einsum("pi,pi->p", va, fx)
+        < va.max(axis=1) - certify_tol - slack * (1.0 + np.abs(a).max())
+    ) | (
+        np.einsum("pj,pj->p", vb, fy)
+        < vb.max(axis=1) - certify_tol - slack * (1.0 + np.abs(b).max())
+    )
+    return ~(reject_x | reject_y | (sure_x & sure_y & fail))
+
+
+def _screen_mixtures(mats: np.ndarray):
+    """`_equalizing_mixture` on a stack of matrices by one batched SVD.
+
+    Returns the normalized mixtures, whether each system's solution is
+    trusted, whether `_equalizing_mixture` certainly rejects it (trusted
+    systems only), and each solution's largest magnitude.
+    lstsq(rcond=None) treats singular values up to eps * max(M, N) times
+    the largest as zero. A solution is trusted when no singular value lies
+    between that cutoff / NEAR_CUTOFF and SCREEN_COND times the largest.
+    The values zeroed here then lie far below lstsq's cutoff too (on 160 000
+    equalizing systems of pursuit, Shapley and integer games, the two
+    factorizations' small singular values differed by at most 0.13 cutoffs),
+    and the rest is well conditioned, so both solves agree far inside
+    SCREEN_MARGIN."""
+    count, rows, size = mats.shape
+    system = np.zeros((count, rows + 1, size + 1))
+    system[:, :rows, :size] = mats
+    system[:, :rows, size] = -1.0
+    system[:, rows, :size] = 1.0
+    u, s, vt = np.linalg.svd(system, full_matrices=False)
+    top = s[:, :1]
+    cutoff = np.finfo(float).eps * max(rows + 1, size + 1) * top
+    sure = ~np.any((s > cutoff / NEAR_CUTOFF) & (s < SCREEN_COND * top), axis=1)
+    # the right-hand side is the last unit vector, so U^T rhs is U's last row
+    kept = s > cutoff
+    coef = np.where(kept, u[:, rows, :] / np.where(kept, s, 1.0), 0.0)
+    sol = np.einsum("pk,pkj->pj", coef, vt)
+    magnitude = np.abs(sol).max(axis=1)
+    resid = np.einsum("pij,pj->pi", system, sol)
+    resid[:, rows] -= 1.0
+    bound = np.full(rows + 1, 1e-9)
+    bound[rows] += 1e-5
+    x = sol[:, :size]
+    reject = sure & (
+        np.any(np.abs(resid) > bound + SCREEN_MARGIN * (1.0 + top * magnitude[:, None]), axis=1)
+        | np.any(x < -1e-9 - SCREEN_MARGIN * (1.0 + magnitude[:, None]), axis=1)
+    )
+    # a solution that passes the residual test sums to about 1, so the
+    # positive-sum test rejects nothing more
+    x = np.clip(x, 0.0, None)
+    total = x.sum(axis=1, keepdims=True)
+    return x / np.where(total > 0, total, 1.0), sure, reject, magnitude
 
 
 def _equalizing_mixture(mat: np.ndarray) -> np.ndarray | None:

@@ -364,8 +364,10 @@ def _simulate_component(
         return _table_path(factor, h, policy, start, stream, stages)
     history = [start]
     step, closed = policy.step, _closed_sets(factor)
+    # a plain CustomPolicy's step only converts its callback's result
+    fn = policy._fn if type(policy) is CustomPolicy else None
     for t in range(1, stages):
-        nxt = step(t, history, stream)
+        nxt = step(t, history, stream) if fn is None else int(fn(t, history, stream, None))
         if nxt not in closed[history[-1]]:
             _check_move(factor, h, history[-1], nxt, t)
         history.append(nxt)
@@ -387,15 +389,21 @@ def _simulate_lockstep(
     for h, (policy, factor, stream) in enumerate(zip(config.policies, factors, streams)):
         if isinstance(policy, TablePolicy):
             path = _table_path(factor, h, policy, histories[h][0], stream, stages).tolist()
-            coalitions.append((h, histories[h], path, None, None, None))
+            coalitions.append((h, histories[h], path, None, None, None, None))
         else:
-            coalitions.append((h, histories[h], None, policy.step, stream, _closed_sets(factor)))
+            # a plain CustomPolicy's step only converts its callback's result
+            fn = policy._fn if type(policy) is CustomPolicy else None
+            closed = _closed_sets(factor)
+            coalitions.append((h, histories[h], None, fn, policy.step, stream, closed))
     for t in range(1, stages):
-        for h, history, path, step, stream, closed in coalitions:
+        for h, history, path, fn, step, stream, closed in coalitions:
             if path is not None:
                 nxt = path[t]
             else:
-                nxt = step(t, history, stream, joint_history=histories)
+                if fn is not None:
+                    nxt = int(fn(t, history, stream, histories))
+                else:
+                    nxt = step(t, history, stream, joint_history=histories)
                 if nxt not in closed[history[-1]]:
                     _check_move(factors[h], h, history[-1], nxt, t)
             history.append(nxt)

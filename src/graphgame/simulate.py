@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,27 +64,31 @@ class UniformStream:
     `take(n)` serves what `next()` left buffered and draws exactly the rest;
     `next()` buffers `_SINGLES` draws at a time. numpy yields the same values
     however draws are split into blocks, so buffering never changes a value,
-    and the generator runs at most one small buffer ahead of the consumer."""
+    and the generator runs at most one small buffer ahead of the consumer.
+    `next` is the `__next__` of a chain over the buffers, so a draw runs no
+    Python frame. `_buffers` holds the numpy generator and the current-buffer
+    cell, not the stream, so the stream is in no reference cycle."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._rng.random(_SINGLES).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+        self._current: list = [iter(())]
+        self.next: Callable[[], float] = chain.from_iterable(
+            _buffers(rng, self._current)
+        ).__next__
 
     def take(self, n: int) -> list[float]:
-        out = self._buf[self._pos : self._pos + max(n, 0)]
-        self._pos += len(out)
+        out = list(islice(self._current[0], max(n, 0)))
         if n > len(out):
             out.extend(self._rng.random(n - len(out)).tolist())
         return out
+
+
+def _buffers(rng: np.random.Generator, current: list):
+    """Iterators over successive `_SINGLES`-draw buffers; current[0] is the
+    one being served, which `take` drains first."""
+    while True:
+        current[0] = iter(rng.random(_SINGLES).tolist())
+        yield current[0]
 
 
 def make_stream(seed: int) -> UniformStream:
@@ -247,6 +253,7 @@ class Realization:
         graph: Graph,
         schedule_factory: Callable[[], Schedule] | None = None,
     ):
+        self.target = target
         self.graph = graph
         self.case, chain_graph = chain_case(graph, target)
         if self.case is CaseLabel.SUPPORT_SPLIT:
@@ -394,6 +401,19 @@ class ComponentSpec:
     schedule: Schedule | None = None
     init: Distribution | None = None  # defaults to the target
 
+    @classmethod
+    def of(cls, realization: Realization) -> "ComponentSpec":
+        """The spec of a built realization, which its runs share."""
+        spec = cls(realization.target, realization.graph, realization.schedule)
+        spec.__dict__["realization"] = realization  # where cached_property keeps it
+        return spec
+
+    @cached_property
+    def realization(self) -> Realization:
+        """How the target is realized on the graph, built on first use."""
+        schedule = self.schedule
+        return Realization(self.target, self.graph, None if schedule is None else lambda: schedule)
+
 
 @dataclass(frozen=True)
 class ProductChainSpec:
@@ -414,17 +434,13 @@ def _run_component(
     init = comp.init if comp.init is not None else comp.target
     if init.n != g.n or comp.target.n != g.n:
         raise ValueError("component distributions must match the factor graph")
-    schedule = comp.schedule
-
-    def gap_checked() -> Schedule:
-        if not schedule.gap_ok(gap_c, gap_e, horizon=steps):
-            raise GapConditionError(
-                f"schedule {schedule.label} violates the gap bound "
-                f"{gap_c} * l**{gap_e} below horizon {steps}"
-            )
-        return schedule
-
-    realization = Realization(comp.target, g, None if schedule is None else gap_checked)
+    realization = comp.realization
+    schedule = realization.schedule
+    if schedule is not None and not schedule.gap_ok(gap_c, gap_e, horizon=steps):
+        raise GapConditionError(
+            f"schedule {schedule.label} violates the gap bound "
+            f"{gap_c} * l**{gap_e} below horizon {steps}"
+        )
     nodes = list(realization.nodes)
     if abs(float(init.masses[nodes].sum()) - 1.0) > 1e-12:
         raise ValueError("initial distribution must live on the states of the target's chain")

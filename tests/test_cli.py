@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from graphgame import chains, cli
+from graphgame import chains, cli, simulate
 from graphgame.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -155,6 +155,30 @@ class TestMcmcRun:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "graph, target, schedule",
+        [
+            ("chain_example_graph.json", "chain_example_target.json", "counterexample"),
+            ("path5_graph.json", "uniform5_target.json", "powergap:1:3"),
+        ],
+        ids=["smoothed", "connected"],
+    )
+    def test_one_classification_per_run(self, tmp_path, monkeypatch, graph, target, schedule):
+        """The run shares the realization the command builds for its summary
+        and kernel, so the target is classified once."""
+        calls = []
+
+        def counted(g, mu):
+            calls.append(mu)
+            return chain_case(g, mu)
+
+        chain_case = chains.chain_case
+        monkeypatch.setattr(chains, "chain_case", counted)
+        monkeypatch.setattr(simulate, "chain_case", counted)
+        args = [str(FIXTURES / graph), str(FIXTURES / target), "--steps", "500"]
+        assert main(["mcmc-run", *args, "--schedule", schedule, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_schedule_unread_without_smoothing(self, tmp_path):
         """A connected support needs no schedule, so a malformed one is

@@ -1,5 +1,7 @@
 import random
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+from graphgame import mixed
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
 from graphgame.graphs import Graph, complete_graph
 from graphgame.mixed import (
@@ -22,6 +25,7 @@ from graphgame.mixed import (
     payoff_vector,
     pure_in_mixed,
     total_variation,
+    _equalizing_mixture,
 )
 
 from conftest import coordination_game, matching_pennies, random_game
@@ -335,6 +339,100 @@ class TestTwoCoalitionContract:
         )
         assert res.status == 0
         assert abs(got - -res.fun) <= 1e-7
+
+
+def pair_by_pair(game: GGame, certify_tol: float = 1e-9) -> MixedProfile:
+    """The unscreened search: every support pair, in Porter-Nudelman-Shoham
+    order, through the per-pair solve. The screened solver must return
+    exactly its profile."""
+    a, b = game.payoffs
+    m, n = game.dims
+    for gap in range(max(m, n)):
+        for total in range(gap + 2, m + n + 1, 2):
+            for size in sorted({(total - gap) // 2, (total + gap) // 2}):
+                if size > m or total - size > n:
+                    continue
+                supports = product(
+                    combinations(range(m), size), combinations(range(n), total - size)
+                )
+                for supp_x, supp_y in supports:
+                    ix, iy = np.array(supp_x), np.array(supp_y)
+                    x = _equalizing_mixture(b[ix[:, None], iy].T)
+                    if x is None:
+                        continue
+                    y = _equalizing_mixture(a[ix[:, None], iy])
+                    if y is None:
+                        continue
+                    fx = np.zeros(m)
+                    fx[ix] = x
+                    fy = np.zeros(n)
+                    fy[iy] = y
+                    candidate = MixedProfile((Distribution(fx), Distribution(fy)))
+                    if is_mixed_c_equilibrium(game, candidate, tol=certify_tol):
+                        return candidate
+    raise NoConvergenceError("no support pair certified")
+
+
+def assert_pair_by_pair_profile(game: GGame) -> None:
+    got = compute_mixed_equilibrium(game).parts
+    want = pair_by_pair(game).parts
+    assert all(np.array_equal(g.masses, w.masses) for g, w in zip(got, want))
+
+
+def cyclic_game(n: int, shift_a: int, shift_b: int) -> GGame:
+    eye = np.eye(n)
+    return bimatrix_game(np.roll(eye, shift_a, axis=1), np.roll(eye, shift_b, axis=1))
+
+
+screen_test = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestScreenedEnumeration:
+    """The batched screen drops only pairs the per-pair solve rejects, so the
+    first certifying pair and its profile are unchanged, bit for bit."""
+
+    @screen_test
+    @given(game_dims.flatmap(iid_matrices))
+    def test_iid_games(self, matrices):
+        assert_pair_by_pair_profile(bimatrix_game(*matrices))
+
+    @screen_test
+    @given(game_dims.flatmap(small_integer_matrices))
+    def test_degenerate_games(self, matrices):
+        assert_pair_by_pair_profile(bimatrix_game(*matrices))
+
+    @screen_test
+    @given(zero_sum_dims.flatmap(iid_matrices))
+    def test_zero_sum_games(self, matrices):
+        a = matrices[0] - 0.5
+        assert_pair_by_pair_profile(bimatrix_game(a, -a))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("shift_a, shift_b", [(1, 0), (0, 2)], ids=["pursuit", "shapley"])
+    def test_cyclic_games(self, n, shift_a, shift_b):
+        assert_pair_by_pair_profile(cyclic_game(n, shift_a, shift_b))
+
+    @pytest.mark.parametrize("block", [1, 20])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(small_integer_matrices))
+    def test_batch_boundaries_keep_the_order(self, block, matrices):
+        with mock.patch.object(mixed, "SCREEN_BLOCK", block):
+            assert_pair_by_pair_profile(bimatrix_game(*matrices))
+
+    @pytest.mark.parametrize("block", [1, 20])
+    def test_batch_boundaries_on_pursuit(self, block):
+        with mock.patch.object(mixed, "SCREEN_BLOCK", block):
+            assert_pair_by_pair_profile(cyclic_game(5, 1, 0))
+
+    def test_memory_bounded_by_the_batch(self):
+        game = cyclic_game(8, 1, 0)
+        tracemalloc.start()
+        try:
+            compute_mixed_equilibrium(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestPureInMixed:

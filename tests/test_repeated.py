@@ -453,6 +453,30 @@ class TestSimulateRepeated:
         assert trace.components[0].states.tolist() == walk
         assert trace.components[1].states.tolist() == walk
 
+    @pytest.mark.parametrize("info", [InfoModel.MINIMAL, InfoModel.MAXIMAL])
+    def test_custom_policy_subclass_runs_its_step(self, info):
+        # the engines call a plain CustomPolicy's callback directly; a
+        # subclass that overrides step is still called through it
+        game = coordination_game()
+        calls = []
+
+        class Flipped(CustomPolicy):
+            def step(self, t, own_history, stream, joint_history=None):
+                calls.append(t)
+                return 1 - super().step(t, own_history, stream, joint_history)
+
+        config = RepeatedConfig(
+            game=game,
+            decomposition=decompose_game(game),
+            policies=(Flipped(lambda t, own, stream, joint: own[-1]), ScriptedPolicy([1] * 4)),
+            init=PlayersInit((0, 1)),
+            info=info,
+            horizon=4,
+        )
+        trace, _ = simulate_repeated(config, seed=0)
+        assert calls == [1, 2, 3]
+        assert trace.components[0].states.tolist() == [0, 1, 0, 1]
+
 
 def ulp_neighbourhood(points, width=3):
     out = []

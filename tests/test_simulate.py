@@ -1,5 +1,7 @@
+import gc
 import random
 import warnings
+import weakref
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -89,6 +91,17 @@ class TestUniformStream:
         assert 0 <= ahead <= _SINGLES
         if None not in requests:
             assert ahead == 0
+
+    def test_stream_makes_no_reference_cycle(self):
+        gc.disable()
+        try:
+            stream = UniformStream(np.random.default_rng(5))
+            stream.next()
+            alive = weakref.ref(stream)
+            del stream
+            assert alive() is None  # freed by reference counting alone
+        finally:
+            gc.enable()
 
     def test_negative_take_draws_nothing(self):
         rng = np.random.default_rng(5)

@@ -75,10 +75,8 @@ def classify_case(g: Graph, mu: Distribution) -> CaseLabel:
 def chain_case(g: Graph, mu: Distribution) -> tuple[CaseLabel, Graph | None]:
     """The case of `mu` on `g` with the connected graph its chain lives on:
     the subgraph induced by the support when the support is connected (a
-    point mass is), else the component holding the support, which is `g`
-    itself when it spans `g`; None when the support is split. The kernels'
-    float sums follow that graph's neighbour order, so it is built this way
-    and no other."""
+    point mass is), else the one induced by the component holding the
+    support; None when the support is split."""
     if mu.n != g.n:
         raise ValueError("distribution and graph have different sizes")
     support = [g.labels[i] for i in mu.support()]
@@ -89,9 +87,7 @@ def chain_case(g: Graph, mu: Distribution) -> tuple[CaseLabel, Graph | None]:
         return CaseLabel.SUPPORT_CONNECTED, restricted
     for comp in connected_components(g):
         if comp.issuperset(support):
-            return CaseLabel.SUPPORT_IN_COMPONENT, (
-                induced_subgraph(g, comp) if len(comp) < g.n else g
-            )
+            return CaseLabel.SUPPORT_IN_COMPONENT, induced_subgraph(g, comp)
     return CaseLabel.SUPPORT_SPLIT, None
 
 
@@ -182,7 +178,7 @@ def _check_rows(m: np.ndarray, diagonal: np.ndarray) -> None:
 class KernelLevels:
     """The kernels of L strictly positive targets on one graph, as padded rows
     in node order. Row i of level l holds node i's entries at the nodes
-    `cols[i]`: its neighbours in `Graph.neighbors` order, then i itself (the
+    `cols[i]`: its neighbours in ascending order, then i itself (the
     diagonal), then padding that repeats i with entry 0.0. `order[l]` lists
     the nodes by decreasing mass (ties by node order), `position[l]` is its
     inverse, and `p[l]` is the level's hop probability."""
@@ -196,24 +192,22 @@ class KernelLevels:
 
 class KernelCore:
     """The arithmetic of `build_kernel` for a stack of targets on one
-    connected graph, with the graph's row layout computed once.
+    connected graph, with the graph's row layout computed once. The caller
+    vouches for connectivity: `build_kernel` checks it, and a `Realization`
+    builds its core on the graph `chain_case` found connected.
 
-    Each row's load is summed left to right in `Graph.neighbors` order; a
+    Each row's load is summed left to right in ascending neighbour order; a
     cumulative sum along the padded row axis keeps that order, where `sum`
     would pair the terms."""
 
     def __init__(self, g: Graph):
-        if len(connected_components(g)) != 1:
-            raise NotConnectedError("kernel construction needs a connected graph")
         self.graph = g
-        n = g.n
-        neighbors = [list(g.neighbors(i)) for i in range(n)]
-        degree = np.array([len(nbs) for nbs in neighbors], dtype=np.intp)
+        degree = np.diff(g.indptr)
         self._degree = degree
-        cols = np.repeat(np.arange(n)[:, None], int(degree.max()) + 1, axis=1)
+        cols = np.repeat(np.arange(g.n)[:, None], int(degree.max()) + 1, axis=1)
         slot = np.arange(cols.shape[1])
         self._is_neighbor = slot < degree[:, None]
-        cols[self._is_neighbor] = [nb for nbs in neighbors for nb in nbs]
+        cols[self._is_neighbor] = g.indices  # row-major: each row's neighbours ascending
         self.cols = cols
         self._entries = np.nonzero(slot <= degree[:, None])  # (node, slot) of every entry
 
@@ -266,6 +260,8 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     of its mass on the diagonal; hops down the mass order use p, hops up use
     p scaled by the mass ratio, which forces detailed balance exactly.
     """
+    if len(connected_components(g)) != 1:
+        raise NotConnectedError("kernel construction needs a connected graph")
     return KernelCore(g).kernel(target)
 
 

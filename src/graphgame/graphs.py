@@ -1,7 +1,8 @@
 """Finite strategy graphs: adjacency, components, strong products, factorization.
 
-Nodes are ordered string labels; internally they are dense integer indices in
-label-table order, which fixes every deterministic ordering downstream.
+Nodes are ordered string labels, internally dense integer indices in
+label-table order. Edges and neighbour lists are kept sorted by index, so no
+result depends on the order in which a graph's edges were listed.
 Self-loops are never stored: the adjacency predicate treats each node as
 adjacent to itself, and `Graph.closed_adjacency` is that predicate as a
 matrix. The closed adjacency of a strong product is the Kronecker product of
@@ -34,7 +35,7 @@ class Graph:
     holds the sorted index pairs (i, j), i < j, and the neighbours of i,
     ascending, are `indices[indptr[i]:indptr[i + 1]]` (compressed sparse rows)."""
 
-    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_given", "_closed", "_sets")
+    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_closed", "_sets")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labels = tuple(nodes)
@@ -48,7 +49,7 @@ class Graph:
         n = len(labels)
         lo, hi = np.minimum(u_ids, v_ids), np.maximum(u_ids, v_ids)
         keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")  # equal keys stay in input order
+        order = np.argsort(keys, kind="stable")  # the earliest listed of equal keys first
         keys = keys[order]
         bad = (lo < 0) | (lo == hi)
         bad[order[1:][keys[1:] == keys[:-1]]] = True  # repeats of an earlier edge
@@ -63,31 +64,18 @@ class Graph:
         self.labels = labels
         self._index = index
         self.edges = np.stack(np.divmod(keys, n), axis=1)
-        self._given = order  # input position of each sorted edge
         # a key src * n + dst per direction, sorted: each node's neighbours ascending
         arcs = np.concatenate([keys, self.edges[:, 1] * n + self.edges[:, 0]])
         arcs = arcs[np.argsort(arcs, kind="stable")]
         self.indices = arcs % n
         self.indptr = np.concatenate([[0], np.bincount(arcs // n, minlength=n).cumsum()])
-        for array in (self.edges, self.indices, self.indptr, order):
+        for array in (self.edges, self.indices, self.indptr):
             array.setflags(write=False)
         self._closed = self._sets = None
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def edge_indices(self) -> frozenset[tuple[int, int]]:
-        """Stored edges as (i, j) index pairs with i < j. Like the neighbour
-        sets, the set is filled in input order and then frozen."""
-        return frozenset(set(map(tuple, self._edges_as_given())))
-
-    def _edges_as_given(self) -> list[list[int]]:
-        """The (i, j) rows of `edges` in the order the constructor got them."""
-        given = np.empty_like(self.edges)
-        given[self._given] = self.edges
-        return given.tolist()
 
     def edge_labels(self) -> frozenset[frozenset[str]]:
         return frozenset(
@@ -101,23 +89,16 @@ class Graph:
             raise GraphError(f"unknown node {label!r}") from None
 
     def neighbors(self, i: int) -> frozenset[int]:
-        """Strict neighbors of node index i (self excluded)."""
-        return (self._sets or self._neighbor_sets())[i]
+        """Strict neighbors of node index i (self excluded). Every node's set
+        is filled from its ascending slice of `indices` on first use."""
+        if self._sets is None:
+            bounds, flat = self.indptr.tolist(), self.indices.tolist()
+            self._sets = tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._sets[i]
 
     def adjacent_indices(self, i: int, j: int) -> bool:
         """Adjacent-or-equal predicate on node indices."""
-        return i == j or j in (self._sets or self._neighbor_sets())[i]
-
-    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Every node's neighbour set, cached. The sets are filled edge by edge
-        in input order and then frozen, which fixes their iteration order:
-        `chains.KernelCore` sums floats in that order."""
-        sets: list[set[int]] = [set() for _ in self.labels]
-        for i, j in self._edges_as_given():
-            sets[i].add(j)
-            sets[j].add(i)
-        self._sets = tuple(frozenset(s) for s in sets)
-        return self._sets
+        return i == j or j in self.neighbors(i)
 
     def closed_adjacency(self) -> np.ndarray:
         """Boolean A + I in node order: entry (i, j) is adjacent-or-equal.
@@ -136,7 +117,7 @@ class Graph:
         return self.labels == other.labels and np.array_equal(self.edges, other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.edge_indices))
+        return hash((self.labels, self.edges.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph({len(self.labels)} nodes, {len(self.edges)} edges)"
@@ -170,6 +151,7 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
 
     Components are ordered by their smallest node index.
     """
+    bounds, flat = g.indptr.tolist(), g.indices.tolist()
     seen = [False] * g.n
     out: list[frozenset[str]] = []
     for start in range(g.n):
@@ -180,7 +162,7 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
         comp = [start]
         while stack:
             cur = stack.pop()
-            for nb in g.neighbors(cur):
+            for nb in flat[bounds[cur] : bounds[cur + 1]]:
                 if not seen[nb]:
                     seen[nb] = True
                     comp.append(nb)
@@ -191,14 +173,11 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
 
 def induced_subgraph(g: Graph, members: Iterable[str]) -> Graph:
     """Subgraph on `members` keeping exactly the edges of g inside it."""
-    member_ids = {g.index(m) for m in members}
-    labels = [g.labels[i] for i in sorted(member_ids)]
-    edges = [
-        (g.labels[i], g.labels[j])
-        for i, j in g.edge_indices
-        if i in member_ids and j in member_ids
-    ]
-    return Graph(labels, edges)
+    keep = np.zeros(g.n, dtype=bool)
+    keep[[g.index(m) for m in members]] = True
+    labels = g.labels
+    edges = [(labels[i], labels[j]) for i, j in g.edges[keep[g.edges].all(axis=1)].tolist()]
+    return Graph([labels[i] for i in np.flatnonzero(keep).tolist()], edges)
 
 
 def joint_labels(axes: Sequence[Sequence[str]]) -> list[str]:

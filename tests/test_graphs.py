@@ -2,10 +2,12 @@ import random
 from itertools import combinations, product
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphgame.chains import KernelCore
 from graphgame.graphs import (
     Graph,
     GraphError,
@@ -72,9 +74,9 @@ class TestAdjacency:
 
 def reference_graph(labels, edges):
     """The per-edge constructor that the edge arrays replace, kept as the
-    reference: the first bad edge in input order raises, checked as unknown
+    reference: the first bad edge in the list raises, checked as unknown
     u, unknown v, self-loop, duplicate. Returns the edge set and the
-    neighbour sets, filled in input order."""
+    neighbour sets."""
     index = {lab: i for i, lab in enumerate(labels)}
     neighbors = [set() for _ in labels]
     edge_set = set()
@@ -141,35 +143,36 @@ class TestEdgeArrays:
             return
         g = Graph(labels, edges)
         edge_set, neighbors = reference_graph(labels, edges)
-        assert list(g.edge_indices) == list(edge_set)
         assert g.edges.tolist() == sorted(map(list, edge_set))
-        assert all(list(g.neighbors(i)) == list(neighbors[i]) for i in range(n))
+        assert all(g.neighbors(i) == neighbors[i] for i in range(n))
         assert all(
             g.indices[g.indptr[i] : g.indptr[i + 1]].tolist() == sorted(neighbors[i])
             for i in range(n)
         )
-        assert g == Graph(labels, reversed(edges)) and hash(g) == hash((g.labels, edge_set))
+        reversed_graph = Graph(labels, reversed(edges))
+        assert g == reversed_graph and hash(g) == hash(reversed_graph)
 
-    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("seed", range(3))
-    def test_sets_iterate_in_reference_order(self, seed, shuffled):
-        """The neighbour sets and the edge set iterate as the reference's do,
-        for edges listed in index order or shuffled: `build_kernel` sums in
-        that order, also on the subgraphs `induced_subgraph` builds from the
-        edge set. Hundreds of nodes make set slots collide, where the order
-        depends on how the set was filled."""
+    def test_neighbor_order_ignores_edge_order(self, seed):
+        """One graph with its edges listed sorted and shuffled, endpoints
+        swapped at random: every neighbour set iterates in the same order,
+        and `KernelCore` lays out the same ascending rows, so kernel sums
+        are a function of the graph. Hundreds of nodes make set slots
+        collide, where a set's order depends on how it was filled."""
         rng = random.Random(seed)
         labels = [f"n{i}" for i in range(300)]
         edges = [
             (labels[i], labels[j]) for i in range(300) for j in range(i + 1, 300)
             if rng.random() < 0.03
         ]
-        if shuffled:
-            rng.shuffle(edges)
-        edge_set, neighbors = reference_graph(labels, edges)
-        g = Graph(labels, edges)
-        assert list(g.edge_indices) == list(edge_set)
-        assert all(list(g.neighbors(i)) == list(neighbors[i]) for i in range(300))
+        shuffled = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(shuffled)
+        a, b = Graph(labels, edges), Graph(labels, shuffled)
+        assert all(list(a.neighbors(i)) == list(b.neighbors(i)) for i in range(300))
+        cols = KernelCore(a).cols
+        assert np.array_equal(cols, KernelCore(b).cols)
+        for i in range(300):
+            assert cols[i, : len(a.neighbors(i))].tolist() == sorted(a.neighbors(i))
 
 
 class TestComponents:
@@ -191,6 +194,20 @@ class TestComponents:
             frozenset({"d", "b"}),
             frozenset({"c", "a"}),
         ]
+
+    def test_matches_networkx(self):
+        """The CSR walk finds networkx's components on sparse random graphs,
+        in the order of each component's smallest node index."""
+        rng = random.Random(11)
+        for _ in range(20):
+            labels = [f"n{i}" for i in range(rng.randint(1, 40))]
+            g = random_graph(rng, labels, p_edge=0.05)
+            ref = nx.Graph()
+            ref.add_nodes_from(labels)
+            ref.add_edges_from(map(tuple, g.edge_labels()))
+            expected = sorted(map(frozenset, nx.connected_components(ref)),
+                              key=lambda c: min(map(g.index, c)))
+            assert connected_components(g) == expected
 
 
 class TestInducedSubgraph:
@@ -215,6 +232,19 @@ class TestInducedSubgraph:
     def test_unknown_member(self):
         with pytest.raises(GraphError):
             induced_subgraph(PATH_ABC, {"a", "zz"})
+
+    def test_matches_networkx(self):
+        """The node mask keeps exactly networkx's induced edges and the
+        members in the parent's node order, whatever order they come in."""
+        rng = random.Random(12)
+        for _ in range(20):
+            labels = [f"n{i}" for i in range(rng.randint(1, 30))]
+            g = random_graph(rng, labels, p_edge=0.2)
+            members = rng.sample(labels, rng.randint(1, len(labels)))
+            ref = nx.Graph(list(map(tuple, g.edge_labels()))).subgraph(members)
+            sub = induced_subgraph(g, members)
+            assert sub.labels == tuple(lab for lab in labels if lab in set(members))
+            assert sub.edge_labels() == frozenset(map(frozenset, ref.edges))
 
 
 def brute_strong_product_edges(factors):

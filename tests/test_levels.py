@@ -32,7 +32,7 @@ from graphgame.simulate import Realization, TransitionTable, make_stream, run_no
 
 def loop_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     """The kernel construction one edge at a time: each row's load summed in
-    `Graph.neighbors` order, p the least 1 / (2 load)."""
+    ascending neighbour order, p the least 1 / (2 load)."""
     n = g.n
     if n == 1:
         return TransitionKernel(np.array([[1.0]]), (g.labels[0],), 0.0)
@@ -42,14 +42,14 @@ def loop_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     load = np.zeros(n)
     for pos, node in enumerate(order):
         acc = 0.0
-        for nb in g.neighbors(node):
+        for nb in sorted(g.neighbors(node)):
             nb_pos = position[nb]
             acc += 1.0 if nb_pos > pos else mass[nb_pos] / mass[pos]
         load[pos] = acc
     p = float(min(1.0 / (2.0 * d) for d in load))
     matrix = np.zeros((n, n))
     for pos, node in enumerate(order):
-        for nb in g.neighbors(node):
+        for nb in sorted(g.neighbors(node)):
             nb_pos = position[nb]
             if nb_pos > pos:
                 matrix[pos, nb_pos] = p

@@ -27,7 +27,6 @@ from .graphs import (
     Graph,
     GraphError,
     NotDecomposableError,
-    are_adjacent,
     connected_components,
     factorize,
     induced_subgraph,
@@ -37,7 +36,6 @@ from .mixed import (
     Distribution,
     MixedProfile,
     NoConvergenceError,
-    best_pure_response,
     compute_mixed_equilibrium,
     expected_payoff,
     is_mixed_c_equilibrium,

@@ -36,10 +36,12 @@ from .mixed import (
     NoConvergenceError,
     compute_mixed_equilibrium,
     expected_payoff,
+    total_variation,
 )
 from .repeated import (
     RefereeInit,
     RepeatedConfig,
+    RepeatedError,
     decompose_game,
     deviation_test,
     equilibrium_policies,
@@ -184,7 +186,7 @@ def cmd_mcmc_run(args) -> int:
     for t in _tv_checkpoints(args.steps):
         counts += np.bincount(trace.states[done:t], minlength=g.n)
         done = t
-        series.append((t, float(np.abs(counts / t - target.masses).sum() / 2)))
+        series.append((t, total_variation(counts / t, target.masses)))
     formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
     # the kernel driving the last transition
     formats.dump_kernel_csv(realization.kernel_at(args.steps - 2), out / "kernel.csv")
@@ -203,7 +205,7 @@ def cmd_mcmc_run(args) -> int:
         tail = (trace.counts - trace.prefix_counts(b)) / (trace.length - b)
         summary["burn_in"] = {
             "steps": b,
-            "tv_to_target": float(np.abs(tail - target.masses).sum() / 2),
+            "tv_to_target": total_variation(tail, target.masses),
         }
     formats.dump_json(summary, out / "summary.json")
     print(
@@ -407,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (formats.FormatError, ChainError, ValueError, OSError) as exc:
+    except (formats.FormatError, ChainError, RepeatedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -73,10 +73,6 @@ def load_graph(path: Path) -> Graph:
     return graph_from_dict(data)
 
 
-def dump_graph(g: Graph, path: Path) -> None:
-    dump_json(graph_to_dict(g), path)
-
-
 # -- games ------------------------------------------------------------------
 
 def load_game(path: Path) -> GGame:
@@ -92,20 +88,24 @@ def game_from_dict(data: dict, base_dir: Path | None = None) -> GGame:
     if not isinstance(data, dict):
         raise FormatError("game document must be a JSON object")
     players_field = data.get("players")
-    if isinstance(players_field, int):
-        players = tuple(range(1, players_field + 1))
-    elif isinstance(players_field, list):
-        players = tuple(int(p) for p in players_field)
-    else:
+    if not isinstance(players_field, (int, list)):
         raise FormatError("'players' must be a count or a list of ids")
     coalitions = data.get("coalitions")
-    if not isinstance(coalitions, list) or not coalitions:
+    if (
+        not isinstance(coalitions, list)
+        or not coalitions
+        or not all(isinstance(c, list) for c in coalitions)
+    ):
         raise FormatError("'coalitions' must be a nonempty list of player lists")
     try:
+        if isinstance(players_field, int):
+            players = tuple(range(1, players_field + 1))
+        else:
+            players = tuple(int(p) for p in players_field)
         structure = CoalitionStructure(
             players, tuple(tuple(int(p) for p in c) for c in coalitions)
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad coalition structure: {exc}") from exc
     strategies = data.get("strategies")
     if (
@@ -137,7 +137,10 @@ def game_from_dict(data: dict, base_dir: Path | None = None) -> GGame:
                     f"'{field}'[{i}] must hold {total} values (row-major over "
                     f"the coalition strategy spaces)"
                 )
-            out.append(np.array(flat, dtype=float).reshape(dims))
+            try:
+                out.append(np.array(flat, dtype=float).reshape(dims))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise FormatError(f"'{field}'[{i}] must hold numbers: {exc}") from exc
         return tuple(out)
 
     payoffs = parse_tensors("payoffs", structure.r)
@@ -157,16 +160,6 @@ def game_from_dict(data: dict, base_dir: Path | None = None) -> GGame:
         return GGame(structure, spaces, payoffs, graph, player_payoffs=player_payoffs)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def game_to_dict(game: GGame) -> dict:
-    return {
-        "players": list(game.structure.players),
-        "coalitions": [list(c) for c in game.structure.coalitions],
-        "strategies": [list(s) for s in game.spaces],
-        "payoffs": [t.reshape(-1).tolist() for t in game.payoffs],
-        "graph": graph_to_dict(game.graph),
-    }
 
 
 # -- distributions ----------------------------------------------------------
@@ -222,18 +215,6 @@ def dump_kernel_csv(kernel: TransitionKernel, path: Path) -> None:
         csv.writer(fh, lineterminator="\n").writerow(kernel.state_labels)
         for row in cells:
             fh.write(",".join(row.tolist()) + "\n")
-
-
-def load_kernel_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError("empty kernel file")
-    labels = tuple(rows[0])
-    matrix = np.array([[float(x) for x in row] for row in rows[1:]])
-    if matrix.shape != (len(labels), len(labels)):
-        raise FormatError("kernel matrix shape does not match its header")
-    return labels, matrix
 
 
 # Rows joined per write, which bounds the writer's memory. A block starts at a

@@ -47,12 +47,6 @@ class CoalitionStructure:
     def r(self) -> int:
         return len(self.coalitions)
 
-    def coalition_of(self, player: int) -> int:
-        for h, c in enumerate(self.coalitions):
-            if player in c:
-                return h
-        raise ValueError(f"unknown player {player}")
-
 
 class GGame:
     """A game whose joint strategy profiles are the nodes of a graph."""

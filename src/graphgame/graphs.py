@@ -141,11 +141,6 @@ class Decomposition:
             raise GraphError("axis map is not a bijection")
 
 
-def are_adjacent(g: Graph, u: str, v: str) -> bool:
-    """True iff {u, v} is an edge of g or u == v."""
-    return g.adjacent_indices(g.index(u), g.index(v))
-
-
 def connected_components(g: Graph) -> list[frozenset[str]]:
     """Partition of the nodes into maximal connected sets.
 
@@ -172,9 +167,12 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
 
 
 def induced_subgraph(g: Graph, members: Iterable[str]) -> Graph:
-    """Subgraph on `members` keeping exactly the edges of g inside it."""
+    """Subgraph on `members` keeping exactly the edges of g inside it: g
+    itself when every node is kept."""
     keep = np.zeros(g.n, dtype=bool)
     keep[[g.index(m) for m in members]] = True
+    if keep.all():
+        return g
     labels = g.labels
     edges = [(labels[i], labels[j]) for i, j in g.edges[keep[g.edges].all(axis=1)].tolist()]
     return Graph([labels[i] for i in np.flatnonzero(keep).tolist()], edges)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
 from .games import GGame, Profile
 
 MASS_TOL = 1e-12
-TIE_TOL = 1e-12
 DEFAULT_TOL = 1e-6
 FICTITIOUS_PLAY_CAP = 100_000
 SCREEN_BLOCK = 1 << 15  # system entries screened per batch of support pairs
@@ -69,12 +67,6 @@ class Distribution:
     def uniform(n: int) -> "Distribution":
         return Distribution(np.full(n, 1.0 / n))
 
-    @staticmethod
-    def uniform_on(n: int, members: Sequence[int]) -> "Distribution":
-        m = np.zeros(n)
-        m[list(members)] = 1.0 / len(members)
-        return Distribution(m)
-
 
 def total_variation(a: Distribution | np.ndarray, b: Distribution | np.ndarray) -> float:
     """Half the L1 distance between two probability vectors."""
@@ -107,11 +99,6 @@ class MixedProfile:
     @staticmethod
     def uniform(game: GGame) -> "MixedProfile":
         return MixedProfile(tuple(Distribution.uniform(d) for d in game.dims))
-
-    def replace(self, index: int, dist: Distribution) -> "MixedProfile":
-        parts = list(self.parts)
-        parts[index] = dist
-        return MixedProfile(tuple(parts))
 
 
 def _check_shapes(game: GGame, profile: MixedProfile) -> None:
@@ -146,20 +133,6 @@ def payoff_vector(game: GGame, profile: MixedProfile, coalition: int) -> np.ndar
             continue
         t = np.tensordot(t, profile.parts[h].masses, axes=(h, 0))
     return np.asarray(t, dtype=float).reshape(-1)
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    value: float
-    argmax: tuple[int, ...]
-
-
-def best_pure_response(game: GGame, profile: MixedProfile, coalition: int) -> BestResponse:
-    """Best point-mass reply for one coalition; ties reported in index order."""
-    v = payoff_vector(game, profile, coalition)
-    best = float(v.max())
-    argmax = tuple(int(i) for i in np.flatnonzero(v >= best - TIE_TOL))
-    return BestResponse(value=best, argmax=argmax)
 
 
 def is_mixed_c_equilibrium(

@@ -96,8 +96,9 @@ class Policy:
     """Rule producing a coalition's stage-t strategy from its own history.
 
     `step` must return a strategy adjacent-or-equal (in the coalition's
-    factor graph) to `own_history[-1]`; `joint_history` is populated only
-    under maximal information.
+    factor graph) to `own_history[-1]`. `joint_history` is passed only under
+    maximal information; under minimal information the engine calls
+    `step(t, own_history, stream)`.
     """
 
     name = "policy"
@@ -350,64 +351,55 @@ def _table_path(
     return path
 
 
-def _simulate_component(
-    config: RepeatedConfig,
-    h: int,
-    policy: Policy,
-    stream: UniformStream,
-    stages: int,
-) -> np.ndarray:
-    """Run one coalition alone; valid only under minimal information."""
-    factor = config.decomposition.factors[h]
-    start = _initial_strategy(config, h, stream)
-    if isinstance(policy, TablePolicy):
-        return _table_path(factor, h, policy, start, stream, stages)
-    history = [start]
-    step, closed = policy.step, _closed_sets(factor)
-    # a plain CustomPolicy's step only converts its callback's result
-    fn = policy._fn if type(policy) is CustomPolicy else None
-    for t in range(1, stages):
-        nxt = step(t, history, stream) if fn is None else int(fn(t, history, stream, None))
-        if nxt not in closed[history[-1]]:
-            _check_move(factor, h, history[-1], nxt, t)
-        history.append(nxt)
-    return np.asarray(history, dtype=np.int64)
-
-
-def _simulate_lockstep(
-    config: RepeatedConfig, streams: list[UniformStream], stages: int
+def _play(
+    config: RepeatedConfig, runs: list[tuple[int, Policy, UniformStream]], stages: int
 ) -> list[np.ndarray]:
-    """Maximal information: every step policy sees the joint history, in
-    which coalitions before it already hold their stage-t move. Table
-    policies observe no other coalition and draw only from their own stream,
-    so their paths are computed up front and replayed stage by stage."""
+    """The paths of `runs`, (coalition, policy, stream) triples, in order.
+
+    Table policies observe no other coalition and draw only from their own
+    stream, so their paths are computed up front; they are the result when no
+    run holds a step policy. Otherwise they are replayed stage by stage
+    beside the step policies. Under maximal information a step policy sees
+    the joint history, in which the runs before it already hold their
+    stage-t move; under minimal information it is called as
+    `step(t, own_history, stream)`.
+    """
     factors = config.decomposition.factors
-    histories: list[list[int]] = [
-        [_initial_strategy(config, h, streams[h])] for h in range(config.game.r)
+    starts = [_initial_strategy(config, h, stream) for h, _, stream in runs]
+    paths = [
+        _table_path(factors[h], h, policy, start, stream, stages)
+        if isinstance(policy, TablePolicy)
+        else None
+        for (h, policy, stream), start in zip(runs, starts)
     ]
-    coalitions = []
-    for h, (policy, factor, stream) in enumerate(zip(config.policies, factors, streams)):
-        if isinstance(policy, TablePolicy):
-            path = _table_path(factor, h, policy, histories[h][0], stream, stages).tolist()
-            coalitions.append((h, histories[h], path, None, None, None, None))
+    if all(path is not None for path in paths):
+        return paths
+    histories = [[start] for start in starts]
+    joint = histories if config.info is InfoModel.MAXIMAL else None
+    movers = []
+    for (h, policy, stream), history, path in zip(runs, histories, paths):
+        if path is not None:
+            movers.append((h, history, path.tolist(), None, None, None, None))
         else:
             # a plain CustomPolicy's step only converts its callback's result
             fn = policy._fn if type(policy) is CustomPolicy else None
-            closed = _closed_sets(factor)
-            coalitions.append((h, histories[h], None, fn, policy.step, stream, closed))
+            closed = _closed_sets(factors[h])
+            movers.append((h, history, None, fn, policy.step, stream, closed))
     for t in range(1, stages):
-        for h, history, path, fn, step, stream, closed in coalitions:
+        for h, history, path, fn, step, stream, closed in movers:
             if path is not None:
                 nxt = path[t]
             else:
                 if fn is not None:
-                    nxt = int(fn(t, history, stream, histories))
+                    nxt = int(fn(t, history, stream, joint))
+                elif joint is None:
+                    nxt = step(t, history, stream)
                 else:
-                    nxt = step(t, history, stream, joint_history=histories)
+                    nxt = step(t, history, stream, joint_history=joint)
                 if nxt not in closed[history[-1]]:
                     _check_move(factors[h], h, history[-1], nxt, t)
             history.append(nxt)
-    return [np.asarray(hist, dtype=np.int64) for hist in histories]
+    return [np.asarray(history, dtype=np.int64) for history in histories]
 
 
 def _stage_payoffs(game: GGame, factor_states: list[np.ndarray], coalition: int) -> np.ndarray:
@@ -470,13 +462,12 @@ def simulate_repeated(config: RepeatedConfig, seed: int) -> tuple[Trace, PayoffR
     """
     stages = config.stages
     streams = component_streams(seed, config.game.r)
+    runs = list(zip(range(config.game.r), config.policies, streams))
     if config.info is InfoModel.MINIMAL:
-        factor_states = [
-            _simulate_component(config, h, policy, streams[h], stages)
-            for h, policy in enumerate(config.policies)
-        ]
+        # one coalition at a time: the lower coalition's violation is reported
+        factor_states = [_play(config, [run], stages)[0] for run in runs]
     else:
-        factor_states = _simulate_lockstep(config, streams, stages)
+        factor_states = _play(config, runs, stages)
     trace = _joint_trace(factor_states, config.game.spaces, seed)
     per = []
     for h in range(config.game.r):
@@ -579,16 +570,12 @@ def deviation_test(
     for i, replica_seed in enumerate(replica_seeds):
         children = replica_seed.spawn(r)
         base_streams = [UniformStream(np.random.default_rng(c)) for c in children]
-        states = [
-            _simulate_component(config, h, config.policies[h], base_streams[h], t_eval)
-            for h in range(r)
-        ]
+        runs = zip(range(r), config.policies, base_streams)
+        states = [_play(config, [run], t_eval)[0] for run in runs]
         eq_means[i] = float(_stage_payoffs(game, states, coalition).mean())
         dev_stream = UniformStream(np.random.default_rng(children[coalition]))
         dev_states = list(states)
-        dev_states[coalition] = _simulate_component(
-            config, coalition, deviation, dev_stream, t_eval
-        )
+        dev_states[coalition] = _play(config, [(coalition, deviation, dev_stream)], t_eval)[0]
         dev_means[i] = float(_stage_payoffs(game, dev_states, coalition).mean())
     diffs = dev_means - eq_means
     paired_stderr = float(diffs.std(ddof=1) / np.sqrt(replicas))

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from graphgame.formats import graph_to_dict
 from graphgame.games import CoalitionStructure, GGame
 from graphgame.graphs import Graph, complete_graph, edgeless_graph
 
@@ -67,6 +68,17 @@ def random_game(
     else:
         g = random_graph(rng, labels)
     return GGame(structure, spaces, payoffs, g)
+
+
+def game_to_dict(game: GGame) -> dict:
+    """The game file document of `game`, with its graph inline."""
+    return {
+        "players": list(game.structure.players),
+        "coalitions": [list(c) for c in game.structure.coalitions],
+        "strategies": [list(s) for s in game.spaces],
+        "payoffs": [t.reshape(-1).tolist() for t in game.payoffs],
+        "graph": graph_to_dict(game.graph),
+    }
 
 
 @pytest.fixture

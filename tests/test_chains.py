@@ -17,6 +17,7 @@ from graphgame.chains import (
     ScheduleError,
     TransitionKernel,
     build_kernel,
+    chain_case,
     classify_case,
     dobrushin,
     dobrushin_bound,
@@ -72,6 +73,13 @@ class TestClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             classify_case(path_graph(["a", "b"]), dist(1.0))
+
+    def test_positive_target_lives_on_the_graph_itself(self):
+        # a support that spans g restricts to g, not to a copy of it
+        for g in (path_graph(["a", "b", "c"]), cycle_graph([f"n{i}" for i in range(6)])):
+            case, chain_graph = chain_case(g, Distribution.uniform(g.n))
+            assert case is CaseLabel.SUPPORT_CONNECTED
+            assert chain_graph is g
 
 
 class TestSmooth:

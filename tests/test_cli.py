@@ -392,6 +392,24 @@ EDGES_NOT_A_LIST_GAME = json.dumps(
     }
 )
 
+def pennies_document(**fields) -> str:
+    """The matching-pennies game file with some fields replaced."""
+    doc = json.loads((FIXTURES / "matching_pennies.json").read_text())
+    return json.dumps({**doc, **fields})
+
+
+# one coalition on the path a-b plus an isolated c: the stock probe that
+# holds the last strategy, c, cannot reach it from the equilibrium at a
+UNREACHABLE_PROBE_GAME = json.dumps(
+    {
+        "players": 1,
+        "coalitions": [[1]],
+        "strategies": [["a", "b", "c"]],
+        "payoffs": [[1, 0, 0.5]],
+        "graph": {"nodes": ["a", "b", "c"], "edges": [["a", "b"]]},
+    }
+)
+
 # argv without --out; "{target}" stands for an input file the case writes
 INPUT_ERRORS = {
     "nan-mass": (["mcmc-build", PATH5_GRAPH, "{target}"], '{"a": NaN, "b": 1.0}'),
@@ -417,6 +435,16 @@ INPUT_ERRORS = {
         ["mcmc-build", "{target}", UNIFORM5], '{"nodes": ["a", "b"], "edges": 5}'
     ),
     "edges-not-a-list-game": (["analyze", "{target}"], EDGES_NOT_A_LIST_GAME),
+    "coalitions-not-lists": (["analyze", "{target}"], pennies_document(coalitions=[1, 2])),
+    "player-not-an-id": (["analyze", "{target}"], pennies_document(players=[[1], 2])),
+    "payoff-beyond-float": (
+        ["analyze", "{target}"],
+        pennies_document().replace("[1, -1, -1, 1]", "[1" + "0" * 400 + ", -1, -1, 1]"),
+    ),
+    "unreachable-deviation-probe": (
+        ["folk-check", "{target}", "--t-eval", "50", "--dev-steps", "20", "--replicas", "2"],
+        UNREACHABLE_PROBE_GAME,
+    ),
 }
 
 

@@ -22,7 +22,7 @@ from graphgame.games import (
 )
 from graphgame.graphs import Graph, complete_graph, edgeless_graph
 
-from conftest import coordination_game, matching_pennies, random_game
+from conftest import coordination_game, game_to_dict, matching_pennies, random_game
 
 
 def two_coalition_game(payoff_a, payoff_b, graph_kind="complete"):
@@ -41,11 +41,6 @@ class TestStructure:
             CoalitionStructure((1, 2, 3), ((1,), (2,)))
         with pytest.raises(ValueError):
             CoalitionStructure((1,), ())
-
-    def test_coalition_of(self):
-        cs = CoalitionStructure((1, 2, 3), ((1, 3), (2,)))
-        assert cs.coalition_of(3) == 0
-        assert cs.coalition_of(2) == 1
 
 
 class TestSubstitute:
@@ -236,7 +231,7 @@ class TestOnePassAnalysis:
         assert got == equilibria and got.violations == witnesses
         with tempfile.TemporaryDirectory() as tmp:
             folder = Path(tmp)
-            formats.dump_json(formats.game_to_dict(game), folder / "game.json")
+            formats.dump_json(game_to_dict(game), folder / "game.json")
             formats.dump_json(doc, folder / "want.json")
             assert main(["analyze", str(folder / "game.json"), "--out", str(folder / "out")]) == 0
             want = (folder / "want.json").read_bytes()

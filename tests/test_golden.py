@@ -20,6 +20,8 @@ from graphgame.cli import main
 from graphgame.games import CoalitionStructure, GGame
 from graphgame.graphs import complete_graph
 
+from conftest import game_to_dict
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 PATH5 = [str(FIXTURES / "path5_graph.json"), str(FIXTURES / "uniform5_target.json")]
@@ -273,7 +275,7 @@ def test_mixed_solves_pursuit_game(tmp_path):
         complete_graph(GGame.joint_labels(spaces)),
     )
     path = tmp_path / "pursuit.json"
-    formats.dump_json(formats.game_to_dict(game), path)
+    formats.dump_json(game_to_dict(game), path)
     assert main(["mixed", str(path), "--out", str(tmp_path / "out")]) == 0
     doc = json.loads((tmp_path / "out" / "mixed.json").read_text())
     assert sorted(doc["profile"]) == ["C1", "C2"]

@@ -14,11 +14,9 @@ from graphgame import mixed
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
 from graphgame.graphs import Graph, complete_graph
 from graphgame.mixed import (
-    BestResponse,
     Distribution,
     MixedProfile,
     NoConvergenceError,
-    best_pure_response,
     compute_mixed_equilibrium,
     expected_payoff,
     is_mixed_c_equilibrium,
@@ -59,9 +57,9 @@ class TestDistribution:
     def test_support_and_builders(self):
         d = Distribution.dirac(3, 1)
         assert d.support() == (1,)
-        u = Distribution.uniform_on(4, [0, 2])
-        assert u.support() == (0, 2)
-        assert u.masses[0] == 0.5
+        u = Distribution.uniform(4)
+        assert u.support() == (0, 1, 2, 3)
+        assert u.masses[0] == 0.25
 
     def test_total_variation(self):
         a = Distribution(np.array([0.5, 0.5, 0.0]))
@@ -121,10 +119,16 @@ class TestExpectedPayoff:
                 # affine identity: E = v . lambda_h for any replacement marginal
                 for _ in range(5):
                     repl = Distribution(np_rng.dirichlet(np.ones(game.dims[h])))
-                    swapped = mp.replace(h, repl)
+                    swapped = MixedProfile(mp.parts[:h] + (repl,) + mp.parts[h + 1 :])
                     assert expected_payoff(game, swapped, h) == pytest.approx(
                         float(v @ repl.masses), abs=1e-12
                     )
+
+
+def best_replies(game, profile, coalition):
+    """The best point-mass reply value and every pure strategy attaining it."""
+    v = payoff_vector(game, profile, coalition)
+    return float(v.max()), tuple(np.flatnonzero(v == v.max()).tolist())
 
 
 class TestBestResponse:
@@ -132,8 +136,7 @@ class TestBestResponse:
         game = coordination_game()
         const = (np.full((2, 2), 1.0), np.full((2, 2), 1.0))
         game2 = GGame(game.structure, game.spaces, const, game.graph)
-        br = best_pure_response(game2, MixedProfile.uniform(game2), 0)
-        assert br.argmax == (0, 1)
+        assert best_replies(game2, MixedProfile.uniform(game2), 0)[1] == (0, 1)
 
     def test_dominant_strategy(self):
         structure = CoalitionStructure((1, 2), ((1,), (2,)))
@@ -145,11 +148,10 @@ class TestBestResponse:
             mp = MixedProfile(
                 (Distribution.uniform(2), Distribution(np.array(mass)))
             )
-            assert best_pure_response(game, mp, 0).argmax == (0,)
+            assert best_replies(game, mp, 0)[1] == (0,)
 
     def test_matching_pennies_vs_uniform_ties(self, pennies):
-        br = best_pure_response(pennies, MixedProfile.uniform(pennies), 0)
-        assert br == BestResponse(value=0.0, argmax=(0, 1))
+        assert best_replies(pennies, MixedProfile.uniform(pennies), 0) == (0.0, (0, 1))
 
 
 class TestIsMixedEquilibrium:
@@ -162,8 +164,8 @@ class TestIsMixedEquilibrium:
             assert not is_mixed_c_equilibrium(pennies, mp, tol=1e-9)
             # the profitable pure deviation is worth 2
             loser = 0 if pennies.payoff(0, prof) < 0 else 1
-            br = best_pure_response(pennies, mp, loser)
-            assert br.value - pennies.payoff(loser, prof) == pytest.approx(2.0)
+            best, _ = best_replies(pennies, mp, loser)
+            assert best - pennies.payoff(loser, prof) == pytest.approx(2.0)
 
     def test_global_maximizer_true(self, coordination):
         mp = MixedProfile.dirac(coordination, (0, 0))
@@ -214,7 +216,7 @@ class TestPureDeviationSufficiency:
             )
             for h in range(game.r):
                 v = payoff_vector(game, mp, h)
-                bound = best_pure_response(game, mp, h).value
+                bound, _ = best_replies(game, mp, h)
                 devs = np_rng.dirichlet(np.ones(game.dims[h]), size=100)
                 values = devs @ v
                 assert np.all(values <= bound + 1e-12)

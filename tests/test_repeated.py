@@ -30,6 +30,7 @@ from graphgame.repeated import (
     LazyRandomWalkPolicy,
     MyopicGreedyPolicy,
     PlayersInit,
+    Policy,
     RandomWalkPolicy,
     RefereeInit,
     RepeatedConfig,
@@ -452,6 +453,56 @@ class TestSimulateRepeated:
         assert seen[1] == [(t, t + 1, t) for t in stages]
         assert trace.components[0].states.tolist() == walk
         assert trace.components[1].states.tolist() == walk
+
+    def test_two_violations_reported_by_info_model(self):
+        # coalition 0 breaks the graph at stage 5 and coalition 1 at stage 2:
+        # minimal information plays the coalitions one at a time, so the
+        # lower coalition is reported; maximal information plays them stage
+        # by stage, so the earlier stage is
+        game = two_path_game()
+
+        def late(t, own, stream, joint):
+            return 2 if t == 2 else own[-1]
+
+        messages = {}
+        for info in InfoModel:
+            config = RepeatedConfig(
+                game=game,
+                decomposition=decompose_game(game),
+                policies=(ScriptedPolicy([0, 0, 0, 0, 0, 2]), CustomPolicy(late)),
+                init=PlayersInit((0, 0)),
+                info=info,
+                horizon=6,
+            )
+            with pytest.raises(ConsistencyViolationError) as err:
+                simulate_repeated(config, seed=0)
+            messages[info] = str(err.value)
+        assert messages[InfoModel.MINIMAL] == (
+            "coalition 0 jumped a -> c at stage 5; the strategies are not adjacent"
+        )
+        assert messages[InfoModel.MAXIMAL] == (
+            "coalition 1 jumped a -> c at stage 2; the strategies are not adjacent"
+        )
+
+    def test_step_without_joint_history_runs_under_minimal_info(self):
+        # minimal information calls step(t, own, stream) and never passes
+        # joint_history, so a step that does not take it still runs
+        game = two_path_game()
+
+        class Climb(Policy):
+            def step(self, t, own_history, stream):
+                return min(own_history[-1] + 1, 2)
+
+        config = RepeatedConfig(
+            game=game,
+            decomposition=decompose_game(game),
+            policies=(Climb(), ScriptedPolicy([1, 0, 0, 1])),
+            init=PlayersInit((0, 1)),
+            horizon=4,
+        )
+        trace, _ = simulate_repeated(config, seed=0)
+        assert trace.components[0].states.tolist() == [0, 1, 2, 2]
+        assert trace.components[1].states.tolist() == [1, 0, 0, 1]
 
     @pytest.mark.parametrize("info", [InfoModel.MINIMAL, InfoModel.MAXIMAL])
     def test_custom_policy_subclass_runs_its_step(self, info):

@@ -103,8 +103,6 @@ def min_valid_k(mu: Distribution) -> int:
 class SmoothedTarget:
     """A target mixed with a uniform layer on its low-mass states."""
 
-    base: Distribution
-    k: int
     smoothed: Distribution
     low_set: frozenset[int]
 
@@ -115,8 +113,6 @@ def smooth(mu: Distribution, k: int) -> SmoothedTarget:
     nonempty."""
     smoothed, low = _smoothed_masses(mu.masses, [k])
     return SmoothedTarget(
-        base=mu,
-        k=k,
         smoothed=Distribution(smoothed[0]),
         low_set=frozenset(int(i) for i in np.flatnonzero(low[0])),
     )
@@ -304,16 +300,16 @@ def dobrushin_bound(n_states: int, k: int) -> float:
 
 
 def stationary_distribution(
-    kernel: TransitionKernel | np.ndarray, tol: float = 1e-12, max_squarings: int = 80
+    kernel: TransitionKernel | np.ndarray, tol: float = 1e-12
 ) -> np.ndarray:
     """Left eigenvector for eigenvalue 1, by iterated powering.
 
-    Squares the matrix until all rows agree within `tol`; every row of the
-    limit is the stationary law.
+    Squares the matrix, at most 80 times, until all rows agree within `tol`;
+    every row of the limit is the stationary law.
     """
     q = kernel.matrix if isinstance(kernel, TransitionKernel) else np.asarray(kernel, float)
     q = np.array(q, dtype=float)
-    for _ in range(max_squarings):
+    for _ in range(80):
         spread = float((q.max(axis=0) - q.min(axis=0)).max())
         if spread < tol:
             out = q.mean(axis=0)

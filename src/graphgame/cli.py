@@ -155,8 +155,7 @@ def cmd_mcmc_build(args) -> int:
 
 
 def _tv_checkpoints(steps: int) -> list[int]:
-    grid = sorted({min(steps, max(1, int(round(10 ** (i / 8))))) for i in range(0, 200)})
-    return [t for t in grid if t <= steps]
+    return sorted({min(steps, max(1, int(round(10 ** (i / 8))))) for i in range(0, 200)})
 
 
 def cmd_mcmc_run(args) -> int:

@@ -39,6 +39,13 @@ def coalition_name(index: int) -> str:
     return f"C{index + 1}"
 
 
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
 # -- graphs -----------------------------------------------------------------
 
 def graph_to_dict(g: Graph) -> dict:
@@ -66,22 +73,14 @@ def graph_from_dict(data: dict) -> Graph:
 
 
 def load_graph(path: Path) -> Graph:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(_read_json(path))
 
 
 # -- games ------------------------------------------------------------------
 
 def load_game(path: Path) -> GGame:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return game_from_dict(data, base_dir=path.parent)
+    return game_from_dict(_read_json(path), base_dir=path.parent)
 
 
 def game_from_dict(data: dict, base_dir: Path | None = None) -> GGame:
@@ -167,10 +166,7 @@ def game_from_dict(data: dict, base_dir: Path | None = None) -> GGame:
 def load_target(path: Path, g: Graph) -> Distribution:
     """Target file: JSON object mapping node label to mass (or under a
     'masses' key); unlisted nodes carry zero mass."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    data = _read_json(path)
     if isinstance(data, dict) and isinstance(data.get("masses"), dict):
         data = data["masses"]
     if not isinstance(data, dict):

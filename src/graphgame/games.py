@@ -200,7 +200,7 @@ def violation_witness(
     not an equilibrium, or None when it is one."""
     game.validate_profile(sbar)
     node = game.node_of(sbar)
-    for nb in sorted(game.graph.neighbors(node)):
+    for nb in game.graph.neighbors(node):
         other = game.profile_of_node(nb)
         for h in range(game.r):
             if other[h] == sbar[h]:

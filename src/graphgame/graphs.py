@@ -35,7 +35,7 @@ class Graph:
     holds the sorted index pairs (i, j), i < j, and the neighbours of i,
     ascending, are `indices[indptr[i]:indptr[i + 1]]` (compressed sparse rows)."""
 
-    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_closed", "_sets")
+    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_closed", "_neighbors")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labels = tuple(nodes)
@@ -71,16 +71,11 @@ class Graph:
         self.indptr = np.concatenate([[0], np.bincount(arcs // n, minlength=n).cumsum()])
         for array in (self.edges, self.indices, self.indptr):
             array.setflags(write=False)
-        self._closed = self._sets = None
+        self._closed = self._neighbors = None
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def edge_labels(self) -> frozenset[frozenset[str]]:
-        return frozenset(
-            frozenset((self.labels[i], self.labels[j])) for i, j in self.edges.tolist()
-        )
 
     def index(self, label: str) -> int:
         try:
@@ -88,13 +83,13 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown node {label!r}") from None
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        """Strict neighbors of node index i (self excluded). Every node's set
-        is filled from its ascending slice of `indices` on first use."""
-        if self._sets is None:
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        """Strict neighbors of node index i (self excluded), ascending: its
+        slice of `indices`. Every node's tuple is filled on first use."""
+        if self._neighbors is None:
             bounds, flat = self.indptr.tolist(), self.indices.tolist()
-            self._sets = tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return self._sets[i]
+            self._neighbors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._neighbors[i]
 
     def adjacent_indices(self, i: int, j: int) -> bool:
         """Adjacent-or-equal predicate on node indices."""
@@ -128,17 +123,6 @@ class Decomposition:
     """Per-coalition factor graphs whose strong product equals a joint graph."""
 
     factors: tuple[Graph, ...]
-    axis_map: dict[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        count = 1
-        for f in self.factors:
-            count *= f.n
-        if count != len(self.axis_map):
-            raise GraphError("factor node counts do not multiply to joint count")
-        images = set(self.axis_map.values())
-        if len(images) != len(self.axis_map):
-            raise GraphError("axis map is not a bijection")
 
 
 def connected_components(g: Graph) -> list[frozenset[str]]:
@@ -146,7 +130,6 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
 
     Components are ordered by their smallest node index.
     """
-    bounds, flat = g.indptr.tolist(), g.indices.tolist()
     seen = [False] * g.n
     out: list[frozenset[str]] = []
     for start in range(g.n):
@@ -157,7 +140,7 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
         comp = [start]
         while stack:
             cur = stack.pop()
-            for nb in flat[bounds[cur] : bounds[cur + 1]]:
+            for nb in g.neighbors(cur):
                 if not seen[nb]:
                     seen[nb] = True
                     comp.append(nb)
@@ -258,8 +241,7 @@ def factorize(
         factors.append(Graph(axis, _upper_edges(axis, lines[line + line])))
     if not np.array_equal(_closed_product(factors), closed):
         return None
-    axis_map = {label: split_label(label) for label in g.labels}
-    return Decomposition(factors=tuple(factors), axis_map=axis_map)
+    return Decomposition(factors=tuple(factors))
 
 
 def path_graph(labels: Sequence[str]) -> Graph:

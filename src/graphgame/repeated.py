@@ -12,6 +12,7 @@ the mixed profile they target, which is what the deviation harness probes.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -83,7 +84,7 @@ def _next_hop_table(g: Graph, targets: Sequence[int]) -> list[int | None]:
     while frontier:
         nxt = []
         for node in frontier:
-            for nb in sorted(g.neighbors(node)):
+            for nb in g.neighbors(node):
                 if dist[nb] is None:
                     dist[nb] = dist[node] + 1
                     hop[nb] = node
@@ -133,7 +134,6 @@ class TablePolicy(Policy):
         self.name = name
         self.hop = list(hop)
         self.chain = chain
-        self.case = chain.case if isinstance(chain, Realization) else None
 
     def _path(self, start: int, stages: int, stream: UniformStream) -> np.ndarray:
         out = np.empty(stages, dtype=np.int64)
@@ -162,10 +162,10 @@ class ConstantPolicy(TablePolicy):
     """Hold one strategy; walks a shortest path there first if started
     elsewhere."""
 
-    def __init__(self, graph: Graph, atom: int, name: str | None = None):
+    def __init__(self, graph: Graph, atom: int):
         realization = Realization(Distribution.dirac(graph.n, atom), graph)
         hop = _next_hop_table(graph, realization.nodes)
-        super().__init__(name or f"constant[{graph.labels[atom]}]", hop, realization)
+        super().__init__(f"constant[{graph.labels[atom]}]", hop, realization)
 
 
 def _cut_points(d: int, index: Callable[[float], int], low: float) -> list[float]:
@@ -189,7 +189,7 @@ class LazyRandomWalkPolicy(TablePolicy):
     def __init__(self, graph: Graph):
         cum, succ = [], []
         for i in range(graph.n):
-            nbrs = sorted(graph.neighbors(i))
+            nbrs = graph.neighbors(i)
             d = len(nbrs)
             hold = [0.5] if d else []  # u < 1/2 stays put
             cum.append(hold + _cut_points(d, lambda u: min(int((u - 0.5) * 2 * d), d - 1), 0.5))
@@ -203,7 +203,8 @@ class RandomWalkPolicy(TablePolicy):
     def __init__(self, graph: Graph):
         cum, succ = [], []
         for i in range(graph.n):
-            options = sorted(set(graph.neighbors(i)) | {i})
+            options = list(graph.neighbors(i))
+            insort(options, i)
             d = len(options)
             cum.append(_cut_points(d, lambda u: min(int(u * d), d - 1), 0.0))
             succ.append(options)
@@ -216,13 +217,10 @@ class MyopicGreedyPolicy(TablePolicy):
 
     def __init__(self, graph: Graph, weights: np.ndarray):
         weights = np.asarray(weights, dtype=float)
-        hop = []
-        for i in range(graph.n):
-            best, best_value = i, -np.inf
-            for cand in sorted(set(graph.neighbors(i)) | {i}):
-                if weights[cand] > best_value:
-                    best, best_value = cand, weights[cand]
-            hop.append(best)
+        hop = [
+            max((i, *graph.neighbors(i)), key=lambda c: (weights[c], -c))
+            for i in range(graph.n)
+        ]
         super().__init__("myopic-greedy", hop)
 
     @classmethod
@@ -324,7 +322,7 @@ def _initial_strategy(config: RepeatedConfig, h: int, stream: UniformStream) -> 
 
 def _closed_sets(factor: Graph) -> list[frozenset[int]]:
     """The strategies each strategy may move to: itself and its neighbours."""
-    return [factor.neighbors(i) | {i} for i in range(factor.n)]
+    return [frozenset((*factor.neighbors(i), i)) for i in range(factor.n)]
 
 
 def _check_move(factor: Graph, h: int, prev: int, nxt: int, t: int) -> None:
@@ -485,7 +483,6 @@ def equilibrium_policies(
     game: GGame,
     decomposition: Decomposition,
     mixed: MixedProfile,
-    schedule_factory: Callable[[], Schedule] | None = None,
 ) -> tuple[Policy, ...]:
     """One chain policy per coalition whose empirical law realizes its part
     of a certified mixed equilibrium on its factor graph.
@@ -493,15 +490,14 @@ def equilibrium_policies(
     Each part is realized by a `Realization` on its factor, named by its
     case: point masses hold, connected supports walk a fixed kernel on the
     support, and disconnected supports inside one factor component follow
-    the smoothing schedule (default power-gap). A policy started off its
-    chain's states bridges to them by a shortest path."""
+    the power-gap smoothing schedule. A policy started off its chain's
+    states bridges to them by a shortest path."""
     if not is_mixed_c_equilibrium(game, mixed, tol=1e-6):
         raise ValueError("profile is not a certified mixed equilibrium")
-    factory = schedule_factory if schedule_factory is not None else Schedule.power_gap
     policies: list[Policy] = []
     for h, factor in enumerate(decomposition.factors):
         try:
-            realization = Realization(mixed.parts[h], factor, factory)
+            realization = Realization(mixed.parts[h], factor, Schedule.power_gap)
         except SupportSplitError as exc:
             raise SupportSplitError(f"coalition {h}: {exc}") from None
         hop = _next_hop_table(factor, realization.nodes)
@@ -530,8 +526,6 @@ class DeviationReport:
     policy_name: str
     equilibrium_mean: float
     deviation_mean: float
-    equilibrium_stderr: float
-    deviation_stderr: float
     paired_stderr: float
     margin: float
     improved: bool
@@ -548,10 +542,10 @@ def deviation_test(
     t_eval: int,
     replicas: int,
     seed: int,
-    margin_scale: float = 3.0,
 ) -> DeviationReport:
     """Compare one coalition's mean payoff under a deviation policy against
-    its equilibrium policy across paired replicas.
+    its equilibrium policy across paired replicas: the deviation improves
+    when its mean exceeds the equilibrium's by three paired standard errors.
 
     Each replica spawns one stream per coalition; the deviation reuses the
     deviating coalition's stream while the other coalitions' paths are
@@ -579,7 +573,7 @@ def deviation_test(
         dev_means[i] = float(_stage_payoffs(game, dev_states, coalition).mean())
     diffs = dev_means - eq_means
     paired_stderr = float(diffs.std(ddof=1) / np.sqrt(replicas))
-    margin = margin_scale * paired_stderr
+    margin = 3.0 * paired_stderr
     eq_mean = float(eq_means.mean())
     dev_mean = float(dev_means.mean())
     return DeviationReport(
@@ -587,8 +581,6 @@ def deviation_test(
         policy_name=deviation.name,
         equilibrium_mean=eq_mean,
         deviation_mean=dev_mean,
-        equilibrium_stderr=float(eq_means.std(ddof=1) / np.sqrt(replicas)),
-        deviation_stderr=float(dev_means.std(ddof=1) / np.sqrt(replicas)),
         paired_stderr=paired_stderr,
         margin=margin,
         improved=bool(dev_mean > eq_mean + margin),
@@ -604,7 +596,7 @@ def two_stage_check(game: GGame, sbar: Profile, decomposition: Decomposition) ->
     for h in range(game.r):
         factor = decomposition.factors[h]
         base = game.payoff(h, sbar)
-        for cand in factor.neighbors(sbar[h]) | {sbar[h]}:
+        for cand in (sbar[h], *factor.neighbors(sbar[h])):
             candidate = sbar[:h] + (cand,) + sbar[h + 1 :]
             if game.payoff(h, candidate) > base:
                 return False

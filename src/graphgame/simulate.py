@@ -114,7 +114,9 @@ def component_streams(seed: int, count: int) -> list[UniformStream]:
 
 def cumulative_row(masses: np.ndarray) -> list[float]:
     cum = np.cumsum(np.asarray(masses, dtype=float))
-    cum[-1] = 1.0  # guard against rounding so a draw can never overflow
+    # guard against rounding from the last positive entry on, so a draw can
+    # neither overflow nor land on a trailing zero-mass state
+    cum[np.flatnonzero(masses)[-1] :] = 1.0
     return cum.tolist()
 
 

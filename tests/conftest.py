@@ -70,6 +70,11 @@ def random_game(
     return GGame(structure, spaces, payoffs, g)
 
 
+def edge_labels(g: Graph) -> frozenset[frozenset[str]]:
+    """The edges of g as unordered label pairs."""
+    return frozenset(frozenset((g.labels[i], g.labels[j])) for i, j in g.edges.tolist())
+
+
 def game_to_dict(game: GGame) -> dict:
     """The game file document of `game`, with its graph inline."""
     return {

@@ -59,6 +59,7 @@ from graphgame.simulate import (
 
 from conftest import (
     coordination_game,
+    edge_labels,
     matching_pennies,
     random_connected_graph,
     random_game,
@@ -105,7 +106,7 @@ def test_criterion_01_kernel_correctness():
         pi = np.array([target.masses[g.index(lab)] for lab in kernel.state_labels])
         residual = np.abs(pi[:, None] * m - pi[None, :] * m.T).max()
         assert residual <= 1e-12
-        edges = g.edge_labels()
+        edges = edge_labels(g)
         for a in range(n):
             for b in range(n):
                 if a != b and m[a, b] != 0.0:
@@ -218,7 +219,7 @@ def test_criterion_07_impossibility():
 def pure_equilibria_oracle(game):
     """Player-level brute force, independent of the library's enumeration."""
     out = set()
-    edges = game.graph.edge_labels()
+    edges = edge_labels(game.graph)
     profiles = list(game.profiles())
     for sbar in profiles:
         ok = True
@@ -397,7 +398,7 @@ def test_criterion_12_two_stage_theorem():
             # restricted-neighborhood brute force
             for h in range(game.r):
                 factor = decomposition.factors[h]
-                for cand in factor.neighbors(sbar[h]) | {sbar[h]}:
+                for cand in {sbar[h], *factor.neighbors(sbar[h])}:
                     candidate = sbar[:h] + (cand,) + sbar[h + 1 :]
                     assert game.payoff(h, candidate) <= game.payoff(h, sbar)
             checked += 1

@@ -35,7 +35,7 @@ from graphgame.graphs import (
 )
 from graphgame.mixed import Distribution, total_variation
 
-from conftest import random_connected_graph
+from conftest import edge_labels, random_connected_graph
 
 
 def dist(*masses):
@@ -185,7 +185,7 @@ class TestBuildKernel:
                 for b in range(n):
                     if a != b and m[a, b] > 0:
                         la, lb = kernel.state_labels[a], kernel.state_labels[b]
-                        assert frozenset((la, lb)) in g.edge_labels()
+                        assert frozenset((la, lb)) in edge_labels(g)
 
     def test_not_connected(self):
         g = edgeless_graph(["a", "b"])

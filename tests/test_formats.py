@@ -29,7 +29,7 @@ from graphgame.graphs import Graph, path_graph
 from graphgame.mixed import Distribution, MixedProfile
 from graphgame.simulate import Trace, _joint_trace, run_homogeneous
 
-from conftest import game_to_dict, matching_pennies
+from conftest import edge_labels, game_to_dict, matching_pennies
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,7 +43,7 @@ class TestGraphFormat:
     def test_fixture_loads(self):
         g = load_graph(FIXTURES / "chain_example_graph.json")
         assert g.labels == ("s1", "s2", "s3", "s4")
-        assert len(g.edge_labels()) == 3
+        assert len(edge_labels(g)) == 3
 
     def test_bad_documents(self):
         with pytest.raises(FormatError):
@@ -66,7 +66,7 @@ class TestGameFormat:
         reference = matching_pennies()
         assert game.spaces == reference.spaces
         assert np.array_equal(game.payoffs[0], reference.payoffs[0])
-        assert game.graph.edge_labels() == reference.graph.edge_labels()
+        assert edge_labels(game.graph) == edge_labels(reference.graph)
 
     def test_round_trip_via_dict(self):
         game = matching_pennies()

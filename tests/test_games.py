@@ -22,7 +22,13 @@ from graphgame.games import (
 )
 from graphgame.graphs import Graph, complete_graph, edgeless_graph
 
-from conftest import coordination_game, game_to_dict, matching_pennies, random_game
+from conftest import (
+    coordination_game,
+    edge_labels,
+    game_to_dict,
+    matching_pennies,
+    random_game,
+)
 
 
 def two_coalition_game(payoff_a, payoff_b, graph_kind="complete"):
@@ -138,7 +144,7 @@ class TestPureEquilibrium:
             game = random_game(rng, graph="random")
             eq_full = pure_c_equilibria(game)
             edges = sorted(
-                tuple(sorted(e)) for e in (tuple(x) for x in game.graph.edge_labels())
+                tuple(sorted(e)) for e in (tuple(x) for x in edge_labels(game.graph))
             )
             if not edges:
                 continue

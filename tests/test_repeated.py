@@ -52,7 +52,7 @@ from graphgame.simulate import (
     verify_consistency,
 )
 
-from conftest import coordination_game, matching_pennies, random_graph
+from conftest import coordination_game, edge_labels, matching_pennies, random_graph
 
 
 def dist(*masses):
@@ -590,14 +590,14 @@ class TestEquilibriumPolicies:
         dec = decompose_game(game)
         mixed = MixedProfile.dirac(game, (0, 0))
         policies = equilibrium_policies(game, dec, mixed)
-        assert all(p.case is CaseLabel.POINT_MASS for p in policies)
+        assert all(p.chain.case is CaseLabel.POINT_MASS for p in policies)
 
     def test_uniform_connected_gives_stationary(self):
         game = matching_pennies()
         dec = decompose_game(game)
         mixed = compute_mixed_equilibrium(game)
         policies = equilibrium_policies(game, dec, mixed)
-        assert all(p.case is CaseLabel.SUPPORT_CONNECTED for p in policies)
+        assert all(p.chain.case is CaseLabel.SUPPORT_CONNECTED for p in policies)
 
     def test_disconnected_support_gives_schedule(self):
         factor = Graph(
@@ -609,7 +609,7 @@ class TestEquilibriumPolicies:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             policies = equilibrium_policies(game, dec, mixed)
-        assert policies[0].case is CaseLabel.SUPPORT_IN_COMPONENT
+        assert policies[0].chain.case is CaseLabel.SUPPORT_IN_COMPONENT
 
     def test_split_support_rejected(self):
         factor = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
@@ -769,7 +769,7 @@ class TestTwoStageCheck:
                     for cand in range(sizes[h]):
                         if cand != prof[h] and not (
                             frozenset((spaces[h][cand], spaces[h][prof[h]]))
-                            in factors[h].edge_labels()
+                            in edge_labels(factors[h])
                         ):
                             continue
                         candidate = prof[:h] + (cand,) + prof[h + 1 :]
@@ -809,10 +809,7 @@ class TestConfigValidation:
         graph is complete, so edgeless factors do not reproduce it."""
         game = coordination_game()
         factors = tuple(edgeless_graph(space) for space in game.spaces)
-        hand_built = Decomposition(
-            factors=factors,
-            axis_map={label: tuple(label.split("|")) for label in game.graph.labels},
-        )
+        hand_built = Decomposition(factors=factors)
         with pytest.raises(ValueError, match="does not reproduce the game graph"):
             RepeatedConfig(
                 game=game,

@@ -36,6 +36,8 @@ from graphgame.simulate import (
     Trace,
     UniformStream,
     _SINGLES,
+    cumulative_row,
+    draw_index,
     empirical_distribution,
     ergodic_average,
     make_stream,
@@ -46,6 +48,8 @@ from graphgame.simulate import (
 )
 from graphgame.chains import GapConditionError
 from graphgame.repeated import ConstantPolicy
+
+from conftest import edge_labels
 
 
 def dist(*masses):
@@ -109,6 +113,17 @@ class TestUniformStream:
         first = stream.next()
         assert stream.take(-3) == []
         assert [first, stream.next()] == np.random.default_rng(5).random(2).tolist()
+
+
+class TestCumulativeRow:
+    def test_largest_uniform_never_draws_trailing_zero_mass(self):
+        """Ten masses of 0.1 sum to 1 - 2**-53, the largest uniform numpy
+        returns; the rounding guard on the last positive entry makes that
+        uniform draw state 9, not the zero-mass state after it."""
+        cum = cumulative_row(Distribution(np.r_[np.full(10, 0.1), 0.0]).masses)
+        assert cum[-2:] == [1.0, 1.0]
+        assert draw_index(cum, 1.0 - 2.0**-53) == 9
+        assert draw_index(cum, 0.0) == 0
 
 
 class TestHomogeneous:
@@ -396,7 +411,7 @@ class TestProduct:
         # adding edges can never break consistency
         extra = Graph(
             base.labels,
-            sorted(tuple(sorted(e)) for e in (tuple(x) for x in base.edge_labels())),
+            sorted(tuple(sorted(e)) for e in (tuple(x) for x in edge_labels(base))),
         )
         assert verify_consistency(joint, extra)
 

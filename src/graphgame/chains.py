@@ -14,7 +14,6 @@ targets on one graph, so every level a schedule visits is built in one batch.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -210,13 +209,6 @@ class KernelCore:
     def levels(self, masses: np.ndarray) -> KernelLevels:
         """The kernel of each row of the (L, n) stack `masses`, every level
         checked as a `TransitionKernel` is."""
-        built = self._levels(masses)
-        _check_rows(built.values, built.values[:, np.arange(self.graph.n), self._degree])
-        return built
-
-    def _levels(self, masses: np.ndarray) -> KernelLevels:
-        """`levels` without the row checks, for callers that check the
-        result in another layout."""
         masses = np.asarray(masses, dtype=float)
         n = self.graph.n
         if masses.ndim != 2 or masses.shape[1] != n:
@@ -233,13 +225,15 @@ class KernelCore:
         load = np.cumsum(ratio, axis=2)[:, :, -1]
         p = (1.0 / (2.0 * load)).min(axis=1) if n > 1 else np.zeros(len(masses))
         values = ratio * p[:, None, None]
-        values[:, np.arange(n), self._degree] = 1.0 - p[:, None] * load
+        diagonal = 1.0 - p[:, None] * load
+        values[:, np.arange(n), self._degree] = diagonal
+        _check_rows(values, diagonal)
         return KernelLevels(order, position, p, cols, values)
 
     def kernel(self, target: Distribution) -> TransitionKernel:
         """The dense kernel of one target: its single level scattered into an
-        n x n matrix over the mass order, which `TransitionKernel` checks."""
-        built = self._levels(target.masses[None, :])
+        n x n matrix over the mass order."""
+        built = self.levels(target.masses[None, :])
         position = built.position[0]
         nodes, slots = self._entries
         matrix = np.zeros((self.graph.n, self.graph.n))
@@ -355,18 +349,12 @@ class Schedule:
     def power_gap(cls, c: int = 1, e: int = 3) -> "Schedule":
         """Desk-scale schedule with guaranteed gaps t_{l+1} - t_l = c * l**e.
 
-        The almost-sure empirical convergence guarantee is established for
-        the far slower theoretical schedule; power-gap runs trade that for
-        tractable horizons.
+        A surrogate: the almost-sure empirical convergence guarantee is
+        established only for the far slower `theoretical` schedule; power-gap
+        runs trade that for tractable horizons.
         """
         if c < 1 or e < 0:
             raise ValueError("need c >= 1 and e >= 0")
-        warnings.warn(
-            "power-gap schedule is a desk-scale surrogate; the almost-sure "
-            "convergence guarantee holds for Schedule.theoretical",
-            UserWarning,
-            stacklevel=2,
-        )
 
         def time_fn(l: int) -> int:
             return 1 + c * sum(j**e for j in range(1, l))

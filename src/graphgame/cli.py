@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -48,7 +49,7 @@ from .repeated import (
     simulate_repeated,
     stock_deviation_policies,
 )
-from .simulate import ComponentSpec, ProductChainSpec, Realization, run_product
+from .simulate import ComponentSpec, ProductChainSpec, run_product
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,16 +61,19 @@ EXIT_NO_CONVERGENCE = 5
 CONVERGED_TV = 0.1  # desk-scale convergence flag for run summaries
 
 
-def int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than `low`."""
+def at_least(low: float, kind: type = int) -> Callable[[str], float]:
+    """An argparse type: a finite `kind` (int or float) no smaller than `low`;
+    NaN and the infinities are rejected."""
+    noun = "an integer" if kind is int else "a finite number"
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {noun} >= {low}")
         return value
 
-    parse.__name__ = "integer"  # argparse reports "invalid integer value"
+    # argparse reports "invalid integer value" / "invalid float value"
+    parse.__name__ = "integer" if kind is int else kind.__name__
     return parse
 
 
@@ -161,19 +165,21 @@ def _tv_checkpoints(steps: int) -> list[int]:
 def cmd_mcmc_run(args) -> int:
     g = formats.load_graph(args.graph)
     target = formats.load_target(args.target, g)
+    component = ComponentSpec(target, g, parse_schedule(args.schedule, g.n))
     out = _out_dir(args)
-    realization = Realization(target, g, lambda: parse_schedule(args.schedule, g.n))
-    schedule = realization.schedule
     # single chain: the product-run minimum-gap requirement does not apply,
     # and the counterexample schedule exists precisely to violate it
     spec = ProductChainSpec(
-        components=(ComponentSpec.of(realization),),
+        components=(component,),
         steps=args.steps,
         seed=args.seed,
         gap_c=0,
         gap_e=0,
     )
     trace = run_product(spec).components[0]
+    # the realization the run used, kept by the spec
+    realization = component.realization
+    schedule = realization.schedule
 
     formats.dump_trace_csv(trace, out / "trace.csv")
     formats.dump_empirical_csv(trace, out / "empirical.csv")
@@ -354,22 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixed", help="compute a mixed equilibrium")
     p.add_argument("game")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=at_least(0.0, float), default=1e-6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("mcmc-build", help="build a reversible kernel for a target")
     p.add_argument("graph")
     p.add_argument("target")
-    p.add_argument("--smooth-k", type=int_at_least(1), default=None)
+    p.add_argument("--smooth-k", type=at_least(1), default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("mcmc-run", help="simulate a graph-consistent chain")
     p.add_argument("graph")
     p.add_argument("target")
-    p.add_argument("--steps", type=int_at_least(1), required=True)
+    p.add_argument("--steps", type=at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", default="powergap:1:3")
-    p.add_argument("--burn-in", type=int_at_least(0), default=0)
+    p.add_argument("--burn-in", type=at_least(0), default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("decompose", help="factor a game graph over its coalitions")
@@ -378,16 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repeated", help="run equilibrium chain policies")
     p.add_argument("game")
-    p.add_argument("--t-eval", type=int_at_least(1), default=100_000)
-    p.add_argument("--replicas", type=int_at_least(1), default=5)
+    p.add_argument("--t-eval", type=at_least(1), default=100_000)
+    p.add_argument("--replicas", type=at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("folk-check", help="payoff match plus deviation battery")
     p.add_argument("game")
-    p.add_argument("--t-eval", type=int_at_least(1), default=1_000_000)
-    p.add_argument("--dev-steps", type=int_at_least(1), default=100_000)
-    p.add_argument("--replicas", type=int_at_least(2), default=20)
+    p.add_argument("--t-eval", type=at_least(1), default=1_000_000)
+    p.add_argument("--dev-steps", type=at_least(1), default=100_000)
+    p.add_argument("--replicas", type=at_least(2), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 

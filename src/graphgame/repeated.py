@@ -118,9 +118,10 @@ class TablePolicy(Policy):
     """A Markov policy as a transition table: a random mapping f(state, u).
 
     `hop[s]` is the successor of a state that moves without a draw (a
-    bridging hop toward the chain's states, or a greedy reply), or None for
-    a state that `chain` moves: a Realization (a constant is a point-mass
-    one) or a TransitionTable, whose states never lead back to a hop state.
+    bridging hop toward the chain's states, a greedy reply, or s itself for
+    a state held from then on), or None for a state that `chain` moves: a
+    Realization or a TransitionTable, whose states never lead back to a hop
+    state.
     A table policy sees only its own state and stream, so the engine
     computes its whole path at once.
     """
@@ -163,9 +164,9 @@ class ConstantPolicy(TablePolicy):
     elsewhere."""
 
     def __init__(self, graph: Graph, atom: int):
-        realization = Realization(Distribution.dirac(graph.n, atom), graph)
-        hop = _next_hop_table(graph, realization.nodes)
-        super().__init__(f"constant[{graph.labels[atom]}]", hop, realization)
+        hop = _next_hop_table(graph, [atom])
+        hop[atom] = atom
+        super().__init__(f"constant[{graph.labels[atom]}]", hop)
 
 
 def _cut_points(d: int, index: Callable[[float], int], low: float) -> list[float]:
@@ -227,20 +228,6 @@ class MyopicGreedyPolicy(TablePolicy):
     def for_coalition(cls, game: GGame, decomposition: Decomposition, coalition: int):
         weights = payoff_vector(game, MixedProfile.uniform(game), coalition)
         return cls(decomposition.factors[coalition], weights)
-
-
-class ScriptedPolicy(Policy):
-    """Replay a fixed strategy sequence (index 0 is the initial strategy)."""
-
-    name = "scripted"
-
-    def __init__(self, sequence: Sequence[int]):
-        self.sequence = tuple(int(s) for s in sequence)
-
-    def step(self, t, own_history, stream, joint_history=None):
-        if t >= len(self.sequence):
-            raise RepeatedError("script exhausted before the horizon")
-        return self.sequence[t]
 
 
 class CustomPolicy(Policy):
@@ -497,7 +484,7 @@ def equilibrium_policies(
     policies: list[Policy] = []
     for h, factor in enumerate(decomposition.factors):
         try:
-            realization = Realization(mixed.parts[h], factor, Schedule.power_gap)
+            realization = Realization(mixed.parts[h], factor, Schedule.power_gap())
         except SupportSplitError as exc:
             raise SupportSplitError(f"coalition {h}: {exc}") from None
         hop = _next_hop_table(factor, realization.nodes)

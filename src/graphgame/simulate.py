@@ -238,8 +238,8 @@ class Realization:
     - point mass: the chain holds on the atom and draws nothing;
     - connected support: one kernel on the support, level 0;
     - support disconnected inside one component: the smoothing-schedule
-      kernels on that component, one per smoothing level k >= 1;
-      `schedule_factory` is called in this case only;
+      kernels on that component, one per smoothing level k >= 1; the
+      schedule is required, and kept, in this case only;
     - support split across components: no graph-consistent chain exists,
       and construction raises SupportSplitError.
 
@@ -249,12 +249,7 @@ class Realization:
     `nodes` are the states the chain lives on, in graph node order.
     """
 
-    def __init__(
-        self,
-        target: Distribution,
-        graph: Graph,
-        schedule_factory: Callable[[], Schedule] | None = None,
-    ):
+    def __init__(self, target: Distribution, graph: Graph, schedule: Schedule | None = None):
         self.target = target
         self.graph = graph
         self.case, chain_graph = chain_case(graph, target)
@@ -265,9 +260,9 @@ class Realization:
             )
         self.schedule: Schedule | None = None
         if self.case is CaseLabel.SUPPORT_IN_COMPONENT:
-            if schedule_factory is None:
+            if schedule is None:
                 raise ValueError("a schedule is required when the target needs smoothing")
-            self.schedule = schedule_factory()
+            self.schedule = schedule
         self.nodes = tuple(graph.index(lab) for lab in chain_graph.labels)
         self._members = frozenset(self.nodes)
         self._masses = target.masses[list(self.nodes)]
@@ -403,18 +398,10 @@ class ComponentSpec:
     schedule: Schedule | None = None
     init: Distribution | None = None  # defaults to the target
 
-    @classmethod
-    def of(cls, realization: Realization) -> "ComponentSpec":
-        """The spec of a built realization, which its runs share."""
-        spec = cls(realization.target, realization.graph, realization.schedule)
-        spec.__dict__["realization"] = realization  # where cached_property keeps it
-        return spec
-
     @cached_property
     def realization(self) -> Realization:
         """How the target is realized on the graph, built on first use."""
-        schedule = self.schedule
-        return Realization(self.target, self.graph, None if schedule is None else lambda: schedule)
+        return Realization(self.target, self.graph, self.schedule)
 
 
 @dataclass(frozen=True)

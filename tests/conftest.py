@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from graphgame.formats import graph_to_dict
 from graphgame.games import CoalitionStructure, GGame
 from graphgame.graphs import Graph, complete_graph, edgeless_graph
+from graphgame.repeated import Policy, RepeatedError
 
 
 def random_graph(rng: random.Random, labels: list[str], p_edge: float = 0.5) -> Graph:
@@ -84,6 +86,20 @@ def game_to_dict(game: GGame) -> dict:
         "payoffs": [t.reshape(-1).tolist() for t in game.payoffs],
         "graph": graph_to_dict(game.graph),
     }
+
+
+class ScriptedPolicy(Policy):
+    """Replay a fixed strategy sequence (index 0 is the initial strategy)."""
+
+    name = "scripted"
+
+    def __init__(self, sequence: Sequence[int]):
+        self.sequence = tuple(int(s) for s in sequence)
+
+    def step(self, t, own_history, stream, joint_history=None):
+        if t >= len(self.sequence):
+            raise RepeatedError("script exhausted before the horizon")
+        return self.sequence[t]
 
 
 @pytest.fixture

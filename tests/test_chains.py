@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -46,12 +45,6 @@ def balance_residual(kernel: TransitionKernel, target: Distribution, g: Graph) -
     pi = np.array([target.masses[g.index(lab)] for lab in kernel.state_labels])
     m = kernel.matrix
     return float(np.abs(pi[:, None] * m - pi[None, :] * m.T).max())
-
-
-def power_gap_quiet(c=1, e=3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Schedule.power_gap(c, e)
 
 
 class TestClassify:
@@ -367,15 +360,11 @@ class TestSchedule:
         assert sched.time_at(3) == 3**20  # exact big integers
 
     def test_power_gap_gaps(self):
-        sched = power_gap_quiet(c=2, e=3)
+        sched = Schedule.power_gap(c=2, e=3)
         for l in range(1, 20):
             assert sched.time_at(l + 1) - sched.time_at(l) == 2 * l**3
         assert sched.gap_ok(2, 3, horizon=sched.time_at(19))
         assert not sched.gap_ok(3, 3, horizon=sched.time_at(19))
-
-    def test_power_gap_warns(self):
-        with pytest.warns(UserWarning):
-            Schedule.power_gap()
 
     def test_explicit_validation(self):
         with pytest.raises(ScheduleError):
@@ -387,14 +376,14 @@ class TestSchedule:
             sched.time_at(4)
 
     def test_interval_semantics(self):
-        sched = power_gap_quiet()
+        sched = Schedule.power_gap()
         for l in (1, 2, 5, 9):
             t = sched.time_at(l)
             assert sched.interval_index(t) == l
             assert sched.interval_index(sched.time_at(l + 1) - 1) == l
 
     def test_before_first_time(self):
-        sched = power_gap_quiet()
+        sched = Schedule.power_gap()
         with pytest.raises(ScheduleError):
             sched.interval_index(0)
 

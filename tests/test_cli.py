@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,24 +183,26 @@ class TestMcmcRun:
         assert main(["mcmc-run", *args, "--schedule", schedule, "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
-    def test_schedule_unread_without_smoothing(self, tmp_path):
-        """A connected support needs no schedule, so a malformed one is
-        never parsed."""
-        code = main(
-            [
-                "mcmc-run",
-                str(FIXTURES / "path5_graph.json"),
-                str(FIXTURES / "uniform5_target.json"),
-                "--steps",
-                "100",
-                "--schedule",
-                "bogus",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        assert read_json(tmp_path / "summary.json")["schedule"] is None
+    def test_schedule_checked_without_smoothing(self, tmp_path, capsys):
+        """A connected support uses no schedule, but a malformed one is still
+        a usage error that writes nothing; the default one reports null."""
+        argv = ["mcmc-run", PATH5_GRAPH, UNIFORM5, "--steps", "100"]
+        bad = tmp_path / "bad"
+        assert main(argv + ["--schedule", "bogus", "--out", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (bad / "summary.json").exists()
+        assert main(argv + ["--out", str(tmp_path / "good")]) == 0
+        assert read_json(tmp_path / "good" / "summary.json")["schedule"] is None
+
+    def test_default_flags_warn_nothing(self, tmp_path):
+        """The default power-gap schedule on a zero-mass target emits no
+        warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["mcmc-run", *EXAMPLE, "--steps", "500", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "summary.json")["case"] == "support-in-component"
+        assert [w for w in caught if issubclass(w.category, UserWarning)] == []
 
     def test_zero_steps_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -461,6 +464,19 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_mixed_tolerance_rejected_at_parse(self, tol, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["mixed", str(FIXTURES / "matching_pennies.json"), "--tol", tol]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "graphgame mixed: error: argument --tol: must be a finite number >= 0.0"
+        ]
+        assert not out.exists()
 
     def test_folk_check_one_replica_rejected_at_parse(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -89,12 +89,6 @@ def shuffled_component(rng: random.Random, labels: list[str], extra: float) -> l
     return edges
 
 
-def quiet_power_gap() -> Schedule:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Schedule.power_gap()
-
-
 class TestKernelCore:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -187,7 +181,7 @@ class TestSmoothingLevels:
             masses[:] = 0.0
             masses[[a, b]] = 0.5
             mu = Distribution(masses)
-        realization = Realization(mu, g, quiet_power_gap)
+        realization = Realization(mu, g, Schedule.power_gap())
         sizes = []
         levels = KernelCore.levels
 
@@ -218,7 +212,7 @@ class TestSmoothingLevels:
         """200 counterexample steps visit the levels 2**1 .. 2**50: one run
         builds all 50 in one call, and a second run builds none."""
         mu = Distribution(np.array([0.5, 0.5, 0.0, 0.0]))
-        realization = Realization(mu, example_graph, Schedule.counterexample)
+        realization = Realization(mu, example_graph, Schedule.counterexample())
         calls = []
         levels = KernelCore.levels
 
@@ -243,7 +237,7 @@ class TestSmoothingLevels:
         mu = Distribution(masses)
         tracemalloc.start()
         try:
-            trace = run_nonhomogeneous(mu, g, quiet_power_gap(), mu, 20_000, seed=3)
+            trace = run_nonhomogeneous(mu, g, Schedule.power_gap(), mu, 20_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

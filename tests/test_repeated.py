@@ -1,11 +1,10 @@
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
 
-from graphgame.chains import CaseLabel, Schedule, SupportSplitError, TransitionKernel
+from graphgame.chains import CaseLabel, SupportSplitError, TransitionKernel
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
 from graphgame.graphs import (
     Decomposition,
@@ -34,7 +33,6 @@ from graphgame.repeated import (
     RandomWalkPolicy,
     RefereeInit,
     RepeatedConfig,
-    ScriptedPolicy,
     TablePolicy,
     decompose_game,
     deviation_test,
@@ -52,7 +50,13 @@ from graphgame.simulate import (
     verify_consistency,
 )
 
-from conftest import coordination_game, edge_labels, matching_pennies, random_graph
+from conftest import (
+    ScriptedPolicy,
+    coordination_game,
+    edge_labels,
+    matching_pennies,
+    random_graph,
+)
 
 
 def dist(*masses):
@@ -606,9 +610,7 @@ class TestEquilibriumPolicies:
         game = one_coalition_game(factor)
         dec = decompose_game(game)
         mixed = MixedProfile((dist(0.5, 0.5, 0.0, 0.0),))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            policies = equilibrium_policies(game, dec, mixed)
+        policies = equilibrium_policies(game, dec, mixed)
         assert policies[0].chain.case is CaseLabel.SUPPORT_IN_COMPONENT
 
     def test_split_support_rejected(self):

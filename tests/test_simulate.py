@@ -1,6 +1,5 @@
 import gc
 import random
-import warnings
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -54,12 +53,6 @@ from conftest import edge_labels
 
 def dist(*masses):
     return Distribution(np.array(masses, dtype=float))
-
-
-def power_gap_quiet(c=1, e=3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Schedule.power_gap(c, e)
 
 
 TWO_STATE_KERNEL = build_kernel(dist(2 / 3, 1 / 3), path_graph(["a", "b"]))
@@ -168,7 +161,7 @@ class TestNonhomogeneous:
     def test_single_step(self, example_graph):
         mu = dist(0.5, 0.5, 0.0, 0.0)
         trace = run_nonhomogeneous(
-            mu, example_graph, power_gap_quiet(), dist(1, 0, 0, 0), 1, seed=3
+            mu, example_graph, Schedule.power_gap(), dist(1, 0, 0, 0), 1, seed=3
         )
         assert trace.length == 1
         assert trace.state_labels == example_graph.labels
@@ -179,7 +172,7 @@ class TestNonhomogeneous:
         trace = run_nonhomogeneous(
             mu,
             example_graph,
-            power_gap_quiet(),
+            Schedule.power_gap(),
             dist(0.25, 0.25, 0.25, 0.25),
             50_000,
             seed=21,
@@ -191,7 +184,7 @@ class TestNonhomogeneous:
         trace = run_nonhomogeneous(
             mu,
             example_graph,
-            power_gap_quiet(),
+            Schedule.power_gap(),
             dist(0.25, 0.25, 0.25, 0.25),
             400_000,
             seed=5,
@@ -213,7 +206,7 @@ class TestNonhomogeneous:
     def test_saturated_counterexample_is_one_segment(self, example_graph):
         mu = dist(0.5, 0.5, 0.0, 0.0)
         sched = Schedule.counterexample()
-        realization = Realization(mu, example_graph, lambda: sched)
+        realization = Realization(mu, example_graph, sched)
         steps = 10**6
         states = np.empty(steps, dtype=np.int64)
         realization.run(1, steps, make_stream(3), states)
@@ -221,7 +214,7 @@ class TestNonhomogeneous:
         assert len(sched._times) <= 50 + 2
         # the same schedule without an open-ended last interval, walked one by one
         walked = Schedule("counterexample", lambda l: l, smoothing_fn=lambda l: 2 ** min(l, 50))
-        reference = Realization(mu, example_graph, lambda: walked)
+        reference = Realization(mu, example_graph, walked)
         prefix = np.empty(5000, dtype=np.int64)
         reference.run(1, prefix.size, make_stream(3), prefix)
         assert np.array_equal(states[: prefix.size], prefix)
@@ -233,7 +226,7 @@ class TestNonhomogeneous:
             run_nonhomogeneous(
                 g=g,
                 mu=dist(0.5, 0, 0.5, 0),
-                schedule=power_gap_quiet(),
+                schedule=Schedule.power_gap(),
                 init=dist(0.25, 0.25, 0.25, 0.25),
                 steps=10,
                 seed=0,
@@ -244,14 +237,14 @@ class TestNonhomogeneous:
         mu = dist(0.5, 0.0, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             run_nonhomogeneous(
-                mu, g, power_gap_quiet(), dist(0, 0, 0, 0.5, 0.5), 10, seed=0
+                mu, g, Schedule.power_gap(), dist(0, 0, 0, 0.5, 0.5), 10, seed=0
             )
 
     def test_restricted_component_counts(self):
         g = Graph(["a", "b", "c", "x", "y"], [("a", "b"), ("b", "c"), ("x", "y")])
         mu = dist(0.5, 0.0, 0.5, 0.0, 0.0)
         trace = run_nonhomogeneous(
-            mu, g, power_gap_quiet(), dist(1.0, 0, 0, 0, 0), 5000, seed=1
+            mu, g, Schedule.power_gap(), dist(1.0, 0, 0, 0, 0), 5000, seed=1
         )
         assert trace.counts[3] == 0 and trace.counts[4] == 0
         assert verify_consistency(trace, g)
@@ -263,8 +256,8 @@ class TestRealization:
 
     def test_interval_membership(self, example_graph):
         mu = dist(0.5, 0.5, 0.0, 0.0)
-        sched = power_gap_quiet()
-        realization = Realization(mu, example_graph, lambda: sched)
+        sched = Schedule.power_gap()
+        realization = Realization(mu, example_graph, sched)
         for k in (1, 2, 4):
             a = realization.kernel_at(sched.time_at(k))
             b = build_kernel(smooth(mu, k).smoothed, example_graph)
@@ -275,7 +268,7 @@ class TestRealization:
 
     def test_counterexample_top_state_self_transition(self, example_graph):
         mu = dist(0.5, 0.5, 0.0, 0.0)
-        realization = Realization(mu, example_graph, Schedule.counterexample)
+        realization = Realization(mu, example_graph, Schedule.counterexample())
         for l in range(1, 20):
             kernel = realization.kernel_at(l)
             assert kernel.state_labels[0] == "s1"
@@ -285,7 +278,7 @@ class TestRealization:
     def test_split_support_rejected(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         with pytest.raises(SupportSplitError):
-            Realization(dist(0.5, 0, 0.5, 0), g, power_gap_quiet)
+            Realization(dist(0.5, 0, 0.5, 0), g, Schedule.power_gap())
 
     def test_component_restriction(self):
         g = Graph(
@@ -293,8 +286,8 @@ class TestRealization:
             [("a", "b"), ("b", "c"), ("x", "y")],
         )
         mu = dist(0.0, 0.5, 0.0, 0.5, 0.0)
-        sched = power_gap_quiet()
-        realization = Realization(mu, g, lambda: sched)
+        sched = Schedule.power_gap()
+        realization = Realization(mu, g, sched)
         assert realization.nodes == (1, 2, 3)
         kernel = realization.kernel_at(sched.time_at(3))
         restricted = induced_subgraph(g, ["a", "b", "c"])
@@ -303,27 +296,29 @@ class TestRealization:
         assert kernel.state_labels == reference.state_labels
         assert np.array_equal(kernel.matrix, reference.matrix)
 
-    def test_schedule_factory_called_only_for_smoothing(self):
-        def no_schedule():
-            raise AssertionError("schedule requested")
-
+    def test_schedule_kept_only_for_smoothing(self):
+        """A point mass and a connected support ignore a given schedule; a
+        support disconnected inside its component keeps it, and needs one."""
         g = path_graph(["a", "b", "c"])
+        sched = Schedule.power_gap()
         for mu in (dist(0, 1, 0), dist(0.5, 0.5, 0.0)):
-            assert Realization(mu, g, no_schedule).schedule is None
-        with pytest.raises(AssertionError):
-            Realization(dist(0.5, 0.0, 0.5), g, no_schedule)
+            assert Realization(mu, g, sched).schedule is None
+            assert Realization(mu, g).schedule is None
+        assert Realization(dist(0.5, 0.0, 0.5), g, sched).schedule is sched
+        with pytest.raises(ValueError, match="schedule is required"):
+            Realization(dist(0.5, 0.0, 0.5), g)
 
     def test_construction_builds_no_kernel(self, example_graph):
         calls = []
-        levels = KernelCore._levels
+        levels = KernelCore.levels
 
         def counted(core, masses):
             calls.append(len(masses))
             return levels(core, masses)
 
-        with mock.patch.object(KernelCore, "_levels", counted):
+        with mock.patch.object(KernelCore, "levels", counted):
             for mu in (dist(0, 0, 1, 0), dist(0.5, 0, 0.5, 0), dist(0.5, 0.5, 0, 0)):
-                Realization(mu, example_graph, power_gap_quiet)
+                Realization(mu, example_graph, Schedule.power_gap())
             ConstantPolicy(example_graph, 2)
             assert calls == []
             Realization(dist(0.5, 0, 0.5, 0), example_graph).kernel_at(0)
@@ -333,7 +328,7 @@ class TestRealization:
 class TestProduct:
     def test_degenerate_product_equals_plain_run(self, example_graph):
         mu = dist(0.5, 0.5, 0.0, 0.0)
-        sched = power_gap_quiet()
+        sched = Schedule.power_gap()
         init = dist(0.25, 0.25, 0.25, 0.25)
         direct = run_nonhomogeneous(mu, example_graph, sched, init, 9999, seed=17)
         spec = ProductChainSpec(

@@ -7,7 +7,6 @@ from .chains import (
     SupportSplitError,
     TransitionKernel,
     build_kernel,
-    classify_case,
     dobrushin,
     dobrushin_bound,
     min_valid_k,
@@ -20,7 +19,6 @@ from .games import (
     coalition_payoff_from_players,
     is_pure_c_equilibrium,
     pure_c_equilibria,
-    substitute,
 )
 from .graphs import (
     Decomposition,
@@ -39,7 +37,6 @@ from .mixed import (
     compute_mixed_equilibrium,
     expected_payoff,
     is_mixed_c_equilibrium,
-    pure_in_mixed,
     total_variation,
 )
 from .repeated import (
@@ -62,7 +59,6 @@ from .simulate import (
     Realization,
     Trace,
     empirical_distribution,
-    ergodic_average,
     run_homogeneous,
     run_nonhomogeneous,
     run_product,

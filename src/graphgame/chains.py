@@ -66,11 +66,6 @@ class CaseLabel(Enum):
     SUPPORT_CONNECTED = "support-connected"
 
 
-def classify_case(g: Graph, mu: Distribution) -> CaseLabel:
-    """Which chain construction (if any) can realize `mu` on `g`."""
-    return chain_case(g, mu)[0]
-
-
 def chain_case(g: Graph, mu: Distribution) -> tuple[CaseLabel, Graph | None]:
     """The case of `mu` on `g` with the connected graph its chain lives on:
     the subgraph induced by the support when the support is connected (a

@@ -176,17 +176,6 @@ def coalition_payoff_from_players(
     )
 
 
-def substitute(s: Profile, t: Profile, coalitions: Iterable[int], game: GGame) -> Profile:
-    """Replace the blocks of `s` listed in `coalitions` with those of `t`."""
-    game.validate_profile(s)
-    game.validate_profile(t)
-    chosen = set(coalitions)
-    for h in chosen:
-        if not 0 <= h < game.r:
-            raise ValueError(f"unknown coalition index {h}")
-    return tuple(t[h] if h in chosen else s[h] for h in range(game.r))
-
-
 def is_pure_c_equilibrium(game: GGame, sbar: Profile) -> bool:
     """True iff no coalition gains by adopting its block from any profile
     adjacent to `sbar` in the game graph."""

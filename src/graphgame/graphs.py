@@ -5,15 +5,16 @@ label-table order. Edges and neighbour lists are kept sorted by index, so no
 result depends on the order in which a graph's edges were listed.
 Self-loops are never stored: the adjacency predicate treats each node as
 adjacent to itself, and `Graph.closed_adjacency` is that predicate as a
-matrix. The closed adjacency of a strong product is the Kronecker product of
-its factors' closed adjacencies, which both `strong_product` and `factorize`
-rest on.
+matrix. Products work on the edge arrays, never on a product-sized matrix:
+an arc of a strong product is one closed arc (a node to itself, or an edge
+in either direction) per factor, so a product of factors with n_h nodes and
+e_h edges has N = prod(n_h) nodes and (prod(n_h + 2 e_h) - N) / 2 edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -166,31 +167,26 @@ def joint_labels(axes: Sequence[Sequence[str]]) -> list[str]:
     return [TUPLE_SEP.join(combo) for combo in product(*axes)]
 
 
-def _closed_product(factors: Sequence[Graph]) -> np.ndarray:
-    """Closed adjacency of the strong product, in `joint_labels` order."""
-    return reduce(np.kron, [f.closed_adjacency() for f in factors])
-
-
-def _upper_edges(labels: Sequence[str], closed: np.ndarray) -> list[tuple[str, str]]:
-    """Edges of the graph on `labels` whose closed adjacency is `closed`, in
-    row-major order."""
-    return [(labels[i], labels[j]) for i, j in np.argwhere(np.triu(closed, 1)).tolist()]
-
-
 def strong_product(factors: Sequence[Graph]) -> Graph:
     """Product graph: distinct tuples are adjacent iff every coordinate pair is
     adjacent-or-equal in its factor.
 
-    Nodes are the `joint_labels` of the factors. The edges are the upper
-    triangle of the Kronecker product of the factors' closed adjacencies.
+    Nodes are the `joint_labels` of the factors. Each combination of one
+    closed arc per factor is an arc of the product; its edges are the arcs
+    from a lower to a higher node index.
     """
     if not factors:
         raise GraphError("strong product needs at least one factor")
+    arcs = []  # per factor, its closed arcs as (source, target) rows
     for f in factors:
         if f.n == 0:
             raise GraphError("strong product factors must be nonempty")
+        arcs.append(np.concatenate([np.stack([np.arange(f.n)] * 2, 1), f.edges, f.edges[:, ::-1]]))
+    pick = np.indices([len(a) for a in arcs]).reshape(len(arcs), -1)
+    ends = np.ravel_multi_index([a[k] for a, k in zip(arcs, pick)], [f.n for f in factors])
+    upper = ends[ends[:, 0] < ends[:, 1]].tolist()
     labels = joint_labels([f.labels for f in factors])
-    return Graph(labels, _upper_edges(labels, _closed_product(factors)))
+    return Graph(labels, [(labels[i], labels[j]) for i, j in upper])
 
 
 def split_label(label: str) -> tuple[str, ...]:
@@ -203,21 +199,19 @@ def factorize(
     """Recover per-axis factor graphs whose strong product equals g.
 
     The nodes of g must be tuple labels over `axis_spec` and must cover the
-    full Cartesian product of the axes. g's closed adjacency, permuted into
-    `joint_labels` order, is read as an array with one row and one column
-    index per axis. In a strong product, the entry for nodes (a, b) on the
-    axis-h line through the first node is factor h's closed adjacency at
-    (a, b), so the factors are unique and read off those lines. Returns None
-    unless the product of the factors read off is g.
+    full Cartesian product of the axes. In a strong product, the edges on the
+    axis-h line through the first node of `joint_labels` order are factor h's
+    edges, so the factors are unique and read off those lines. g is their
+    product iff each edge of g is adjacent-or-equal in every coordinate and g
+    has as many edges as the product: a subset of that size is all of it.
+    Returns None otherwise.
     """
     axes = [tuple(axis) for axis in axis_spec]
     if not axes or any(not axis for axis in axes):
         raise GraphError("axis spec must contain nonempty axes")
-    expected = 1
-    for axis in axes:
-        if len(set(axis)) != len(axis):
-            raise GraphError("axis labels must be unique")
-        expected *= len(axis)
+    if any(len(set(axis)) != len(axis) for axis in axes):
+        raise GraphError("axis labels must be unique")
+    expected = math.prod(len(axis) for axis in axes)
     if g.n != expected:
         raise GraphError("joint node set is not the full product of the axes")
     seen: set[tuple[str, ...]] = set()
@@ -232,14 +226,20 @@ def factorize(
     if len(seen) != expected:
         raise GraphError("joint node set is not the full product of the axes")
 
-    order = [g.index(label) for label in joint_labels(axes)]
-    closed = g.closed_adjacency()[np.ix_(order, order)]
-    lines = closed.reshape([len(axis) for axis in axes] * 2)
+    position = np.argsort([g.index(label) for label in joint_labels(axes)])
+    # per axis, the (E, 2) coordinates of both ends of each edge of g
+    coords = np.unravel_index(position[g.edges], [len(axis) for axis in axes])
+    # an edge lies on the axis-h line through the first node iff h is its only axis off 0
+    off_origin = np.array([c.any(axis=1) for c in coords], dtype=int)
+    off_axes = off_origin.sum(axis=0)
     factors = []
-    for h, axis in enumerate(axes):
-        line = tuple(slice(None) if k == h else 0 for k in range(len(axes)))
-        factors.append(Graph(axis, _upper_edges(axis, lines[line + line])))
-    if not np.array_equal(_closed_product(factors), closed):
+    for axis, c, off in zip(axes, coords, off_origin):
+        on_line = c[off_axes == off]
+        factor = Graph(axis, [(axis[i], axis[j]) for i, j in on_line.tolist()])
+        if not factor.closed_adjacency()[c[:, 0], c[:, 1]].all():
+            return None
+        factors.append(factor)
+    if 2 * len(g.edges) != math.prod(f.n + 2 * len(f.edges) for f in factors) - g.n:
         return None
     return Decomposition(factors=tuple(factors))
 

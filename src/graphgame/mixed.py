@@ -150,12 +150,6 @@ def is_mixed_c_equilibrium(
     return True
 
 
-def pure_in_mixed(game: GGame, profile: Profile) -> bool:
-    """True iff the point-mass product at `profile` is a mixed equilibrium
-    with zero tolerance."""
-    return is_mixed_c_equilibrium(game, MixedProfile.dirac(game, profile), tol=0.0)
-
-
 def _support_blocks(m: int, n: int):
     """Support sizes (|I|, |J|) of the nonempty support pairs, in
     Porter-Nudelman-Shoham order: by ||I| - |J|| (balanced pairs, where a

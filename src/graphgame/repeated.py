@@ -424,10 +424,6 @@ def repeated_payoff(
     return float(running[start:].min())
 
 
-def final_average_payoff(trace: Trace, game: GGame, coalition: int) -> float:
-    return repeated_payoff(trace, game, coalition, horizon=trace.length)
-
-
 @dataclass(frozen=True)
 class CoalitionPayoff:
     final_average: float
@@ -456,7 +452,7 @@ def simulate_repeated(config: RepeatedConfig, seed: int) -> tuple[Trace, PayoffR
     trace = _joint_trace(factor_states, config.game.spaces, seed)
     per = []
     for h in range(config.game.r):
-        final = final_average_payoff(trace, config.game, h)
+        final = repeated_payoff(trace, config.game, h, horizon=trace.length)
         tail = (
             repeated_payoff(trace, config.game, h, horizon=None)
             if config.horizon is None

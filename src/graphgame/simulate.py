@@ -480,16 +480,6 @@ def empirical_distribution(trace: Trace) -> Distribution:
     return Distribution(trace.counts / trace.length)
 
 
-def ergodic_average(trace: Trace, f: Callable[[str], float]) -> float:
-    """Average of f along the trace, computed from the exact counts so it
-    equals the frequency-weighted sum identically."""
-    total = 0.0
-    for label, count in zip(trace.state_labels, trace.counts.tolist()):
-        if count:
-            total += f(label) * count
-    return total / trace.length
-
-
 def verify_consistency(trace: Trace, g: Graph) -> bool:
     """Every consecutive pair of states is adjacent-or-equal in `g`."""
     if trace.length <= 1:

@@ -17,7 +17,6 @@ from graphgame.chains import (
     TransitionKernel,
     build_kernel,
     chain_case,
-    classify_case,
     dobrushin,
     dobrushin_bound,
     min_valid_k,
@@ -49,23 +48,23 @@ def balance_residual(kernel: TransitionKernel, target: Distribution, g: Graph) -
 
 class TestClassify:
     def test_point_mass(self, example_graph):
-        assert classify_case(example_graph, dist(0, 0, 1, 0)) is CaseLabel.POINT_MASS
+        assert chain_case(example_graph, dist(0, 0, 1, 0))[0] is CaseLabel.POINT_MASS
 
     def test_example_graph_split_support_one_component(self, example_graph):
-        label = classify_case(example_graph, dist(0.5, 0.5, 0, 0))
+        label = chain_case(example_graph, dist(0.5, 0.5, 0, 0))[0]
         assert label is CaseLabel.SUPPORT_IN_COMPONENT
 
     def test_two_components_split(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        assert classify_case(g, dist(0.5, 0, 0.5, 0)) is CaseLabel.SUPPORT_SPLIT
+        assert chain_case(g, dist(0.5, 0, 0.5, 0))[0] is CaseLabel.SUPPORT_SPLIT
 
     def test_connected_support(self):
         g = path_graph(["a", "b", "c"])
-        assert classify_case(g, dist(0.3, 0.7, 0)) is CaseLabel.SUPPORT_CONNECTED
+        assert chain_case(g, dist(0.3, 0.7, 0))[0] is CaseLabel.SUPPORT_CONNECTED
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            classify_case(path_graph(["a", "b"]), dist(1.0))
+            chain_case(path_graph(["a", "b"]), dist(1.0))
 
     def test_positive_target_lives_on_the_graph_itself(self):
         # a support that spans g restricts to g, not to a copy of it

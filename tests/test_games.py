@@ -17,7 +17,6 @@ from graphgame.games import (
     coalition_payoff_from_players,
     is_pure_c_equilibrium,
     pure_c_equilibria,
-    substitute,
     violation_witness,
 )
 from graphgame.graphs import Graph, complete_graph, edgeless_graph
@@ -47,29 +46,6 @@ class TestStructure:
             CoalitionStructure((1, 2, 3), ((1,), (2,)))
         with pytest.raises(ValueError):
             CoalitionStructure((1,), ())
-
-
-class TestSubstitute:
-    def setup_method(self):
-        self.game = two_coalition_game([[0, 0], [0, 0]], [[0, 0], [0, 0]])
-
-    def test_empty(self):
-        assert substitute((0, 1), (1, 0), (), self.game) == (0, 1)
-
-    def test_full(self):
-        assert substitute((0, 1), (1, 0), (0, 1), self.game) == (1, 0)
-
-    def test_single_block(self):
-        # s=(a,x), t=(b,y), replace first block -> (b,x)
-        assert substitute((0, 0), (1, 1), (0,), self.game) == (1, 0)
-
-    def test_bad_coalition(self):
-        with pytest.raises(ValueError):
-            substitute((0, 0), (1, 1), (5,), self.game)
-
-    def test_bad_profile(self):
-        with pytest.raises(ValueError):
-            substitute((0, 9), (1, 1), (0,), self.game)
 
 
 class TestPureEquilibrium:

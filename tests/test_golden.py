@@ -249,7 +249,7 @@ def artifact_digests(name: str, tmp_path: Path) -> dict[str, str]:
     write_generated_ring(inputs)
     argv = [arg.replace("{in}", str(inputs)) for arg in RUNS[name]]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         code = main(argv + ["--out", str(out)])
     assert code == 0
     return {

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import networkx as nx
@@ -402,13 +403,37 @@ class TestFactorize:
     )
     def test_one_edge_added_or_removed_is_not_a_product(self, factors, rng):
         """Every axis line of a strong product induces its factor. With two
-        or more factors of two or more nodes, each axis has a line the changed
-        edge does not lie on, so any factorization would have the original
-        factors, whose product lacks the change."""
+        or more factors of two or more nodes, each axis has two or more
+        lines. If each axis has a line that no change touches, any
+        factorization would have the original factors, whose product lacks
+        the change; otherwise two lines of one axis differ, which no product
+        allows."""
         prod = strong_product(factors)
-        flip = frozenset(rng.choice(list(combinations(prod.labels, 2))))
-        g = shuffled_copy(Graph(prod.labels, map(tuple, edge_labels(prod) ^ {flip})), rng)
-        assert factorize(g, [f.labels for f in factors]) is None
+        edges = edge_labels(prod)
+        pairs = [frozenset(p) for p in combinations(prod.labels, 2)]
+        changed = [edges ^ {rng.choice(pairs)}]
+        absent = [p for p in pairs if p not in edges]
+        if edges and absent:
+            # a moved edge keeps the product's edge count, so only the
+            # coordinate-adjacency check can reject it
+            changed.append(edges - {rng.choice(sorted(edges, key=sorted))} | {rng.choice(absent)})
+        for edge_set in changed:
+            g = shuffled_copy(Graph(prod.labels, map(tuple, edge_set)), rng)
+            assert factorize(g, [f.labels for f in factors]) is None
+
+    def test_memory_is_linear_in_the_edge_count(self):
+        """A 120 x 120 product has 14 400 nodes and 56 882 edges; an N x N
+        boolean array alone would take 207 MB."""
+        paths = tuple(path_graph([f"{axis}{i}" for i in range(120)]) for axis in "ab")
+        tracemalloc.start()
+        try:
+            g = shuffled_copy(strong_product(paths), random.Random(120))
+            dec = factorize(g, [p.labels for p in paths])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000_000
+        assert dec is not None and dec.factors == paths
 
     def test_rejects_partial_product_node_set(self):
         g = Graph(["a|x", "a|y", "b|x"], [])

@@ -22,7 +22,7 @@ from graphgame.chains import (
     Schedule,
     TransitionKernel,
     build_kernel,
-    classify_case,
+    chain_case,
     smooth,
 )
 from graphgame.graphs import Graph, induced_subgraph
@@ -177,7 +177,7 @@ class TestSmoothingLevels:
         support = sorted({a, b, *rng.sample(component, min(3, n))})
         masses[support] = np.random.default_rng(seed).random(len(support)) + 0.05
         mu = Distribution(masses / masses.sum())
-        if classify_case(g, mu) is not CaseLabel.SUPPORT_IN_COMPONENT:
+        if chain_case(g, mu)[0] is not CaseLabel.SUPPORT_IN_COMPONENT:
             masses[:] = 0.0
             masses[[a, b]] = 0.5
             mu = Distribution(masses)

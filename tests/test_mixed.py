@@ -21,7 +21,6 @@ from graphgame.mixed import (
     expected_payoff,
     is_mixed_c_equilibrium,
     payoff_vector,
-    pure_in_mixed,
     total_variation,
     _equalizing_mixture,
 )
@@ -439,12 +438,13 @@ class TestScreenedEnumeration:
 
 class TestPureInMixed:
     def test_identical_interest_maximizer(self, coordination):
-        assert pure_in_mixed(coordination, (0, 0))
-        assert not pure_in_mixed(coordination, (0, 1))
+        for prof, expected in (((0, 0), True), ((0, 1), False)):
+            mp = MixedProfile.dirac(coordination, prof)
+            assert is_mixed_c_equilibrium(coordination, mp, tol=0.0) == expected
 
     def test_pennies_all_false(self, pennies):
         for prof in pennies.profiles():
-            assert not pure_in_mixed(pennies, prof)
+            assert not is_mixed_c_equilibrium(pennies, MixedProfile.dirac(pennies, prof), tol=0.0)
 
     def test_complete_graph_berge_correspondence(self):
         rng = random.Random(67)
@@ -461,5 +461,6 @@ class TestPureInMixed:
                             break
                     if not berge:
                         break
-                both = pure_in_mixed(game, prof) and prof in pure_eq
+                dirac = MixedProfile.dirac(game, prof)
+                both = is_mixed_c_equilibrium(game, dirac, tol=0.0) and prof in pure_eq
                 assert both == berge

@@ -55,10 +55,6 @@ class ScheduleError(ChainError):
     """Time outside the schedule's domain or malformed switch times."""
 
 
-class GapConditionError(ChainError):
-    """A schedule violates the required minimum gap growth."""
-
-
 class CaseLabel(Enum):
     POINT_MASS = "point-mass"
     SUPPORT_IN_COMPONENT = "support-in-component"
@@ -426,19 +422,6 @@ class Schedule:
         if self._smoothing_fn is None:
             return l
         return int(self._smoothing_fn(l))
-
-    def gap_ok(self, c: int, e: int, horizon: int) -> bool:
-        """Check t_{l+1} - t_l >= c * l**e over every interval below `horizon`."""
-        if c <= 0:
-            return True  # switch times strictly increase, so every gap is positive
-        l = 1
-        while self.time_at(l) < horizon:
-            if not self.has_interval(l + 1):
-                return True  # last interval is open-ended
-            if self.time_at(l + 1) - self.time_at(l) < c * l**e:
-                return False
-            l += 1
-        return True
 
     def __repr__(self) -> str:
         return f"Schedule({self.label})"

@@ -167,15 +167,7 @@ def cmd_mcmc_run(args) -> int:
     target = formats.load_target(args.target, g)
     component = ComponentSpec(target, g, parse_schedule(args.schedule, g.n))
     out = _out_dir(args)
-    # single chain: the product-run minimum-gap requirement does not apply,
-    # and the counterexample schedule exists precisely to violate it
-    spec = ProductChainSpec(
-        components=(component,),
-        steps=args.steps,
-        seed=args.seed,
-        gap_c=0,
-        gap_e=0,
-    )
+    spec = ProductChainSpec(components=(component,), steps=args.steps, seed=args.seed)
     trace = run_product(spec).components[0]
     # the realization the run used, kept by the spec
     realization = component.realization

@@ -21,7 +21,6 @@ import numpy as np
 
 from .chains import (
     CaseLabel,
-    GapConditionError,
     KernelCore,
     KernelLevels,
     Schedule,
@@ -303,9 +302,9 @@ class Realization:
             )
 
     def _segment(self, t: int, remaining: int) -> tuple[int, int | None]:
-        """How many of the next `remaining` transitions, from time t on, share
-        one kernel, and its smoothing level (0 for the one kernel of a
-        connected support, None while the chain holds)."""
+        """How many of the next `remaining` transitions, from time t on, fall
+        in one schedule interval, and its smoothing level (0 for the one
+        kernel of a connected support, None while the chain holds)."""
         if self.case is CaseLabel.POINT_MASS:
             return remaining, None
         if self.case is CaseLabel.SUPPORT_CONNECTED:
@@ -314,16 +313,9 @@ class Realization:
         if t < schedule.first_time:
             return min(schedule.first_time - t, remaining), None
         interval = schedule.interval_index(t)
-        level = schedule.smoothing_index(interval)
-        # merge consecutive intervals sharing a smoothing level
         end = schedule.interval_end(interval)
-        while end is not None and end - t < remaining:
-            if schedule.smoothing_index(interval + 1) != level:
-                break
-            interval += 1
-            end = schedule.interval_end(interval)
         count = remaining if end is None else min(end - t, remaining)
-        return count, level
+        return count, schedule.smoothing_index(interval)
 
     def run(
         self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray, t0: int = 0
@@ -379,12 +371,11 @@ def run_nonhomogeneous(
 ) -> Trace:
     """Chain realizing `mu` on `g` from `init`, driven by `schedule` when the
     target's support is disconnected inside one component of `g`; states
-    reported in the full node order. No gap growth is required of the
-    schedule."""
+    reported in the full node order."""
     if steps < 1:
         raise ValueError("need at least one step")
     comp = ComponentSpec(target=mu, graph=g, schedule=schedule, init=init)
-    states = _run_component(comp, steps, make_stream(seed), gap_c=0, gap_e=0)
+    states = _run_component(comp, steps, make_stream(seed))
     return Trace(states, g.labels, seed, np.bincount(states, minlength=g.n))
 
 
@@ -409,13 +400,9 @@ class ProductChainSpec:
     components: tuple[ComponentSpec, ...]
     steps: int
     seed: int
-    gap_c: int = 1
-    gap_e: int = 3
 
 
-def _run_component(
-    comp: ComponentSpec, steps: int, stream: UniformStream, gap_c: int, gap_e: int
-) -> np.ndarray:
+def _run_component(comp: ComponentSpec, steps: int, stream: UniformStream) -> np.ndarray:
     """States over the component's full node order, consuming exactly one
     initial draw plus one uniform per kernel transition. X(0) is drawn from
     the initial distribution over the chain's states in graph node order."""
@@ -424,12 +411,6 @@ def _run_component(
     if init.n != g.n or comp.target.n != g.n:
         raise ValueError("component distributions must match the factor graph")
     realization = comp.realization
-    schedule = realization.schedule
-    if schedule is not None and not schedule.gap_ok(gap_c, gap_e, horizon=steps):
-        raise GapConditionError(
-            f"schedule {schedule.label} violates the gap bound "
-            f"{gap_c} * l**{gap_e} below horizon {steps}"
-        )
     nodes = list(realization.nodes)
     if abs(float(init.masses[nodes].sum()) - 1.0) > 1e-12:
         raise ValueError("initial distribution must live on the states of the target's chain")
@@ -452,8 +433,7 @@ def run_product(spec: ProductChainSpec) -> Trace:
         raise ValueError("need at least one component")
     streams = component_streams(spec.seed, len(spec.components))
     factor_states = [
-        _run_component(comp, spec.steps, stream, spec.gap_c, spec.gap_e)
-        for comp, stream in zip(spec.components, streams)
+        _run_component(comp, spec.steps, stream) for comp, stream in zip(spec.components, streams)
     ]
     return _joint_trace(
         factor_states, [comp.graph.labels for comp in spec.components], spec.seed
@@ -480,10 +460,24 @@ def empirical_distribution(trace: Trace) -> Distribution:
     return Distribution(trace.counts / trace.length)
 
 
+_CHECK_BLOCK = 4096  # trace steps checked at a time, in two buffers allocated once
+
+
 def verify_consistency(trace: Trace, g: Graph) -> bool:
-    """Every consecutive pair of states is adjacent-or-equal in `g`."""
-    if trace.length <= 1:
-        return True
+    """Every consecutive pair of states is adjacent-or-equal in `g`: each move
+    i -> j with i != j is looked up among g's sorted arc keys i * n + j."""
     perm = np.array([g.index(lab) for lab in trace.state_labels], dtype=np.int64)
-    seq = perm[trace.states]
-    return bool(np.all(g.closed_adjacency()[seq[:-1], seq[1:]]))
+    n = g.n
+    # a sentinel key n * n, past every arc, so each lookup lands in the array
+    arcs = np.append(np.repeat(np.arange(n), np.diff(g.indptr)) * n + g.indices, n * n)
+    # reused per block: fresh arrays per block raised peak RSS by up to 1 MB
+    seq = np.empty(_CHECK_BLOCK + 1, dtype=np.int64)
+    keys = np.empty(_CHECK_BLOCK, dtype=np.int64)
+    for a in range(0, trace.length - 1, _CHECK_BLOCK):
+        block = trace.states[a : a + _CHECK_BLOCK + 1]
+        s = np.take(perm, block, out=seq[: block.size])
+        k = np.multiply(s[:-1], n, out=keys[: block.size - 1])
+        k += s[1:]
+        if not np.all((s[:-1] == s[1:]) | (arcs[np.searchsorted(arcs, k)] == k)):
+            return False
+    return True

@@ -2,7 +2,6 @@
 tolerances. Each test prints a PASS line on success (visible with -s/-rA)."""
 
 import random
-import warnings
 from itertools import product
 
 import numpy as np
@@ -160,9 +159,7 @@ def test_criterion_04_case_iv_convergence():
 
 
 def test_criterion_05_case_ii_convergence():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = Schedule.power_gap(1, 3)
+    schedule = Schedule.power_gap(1, 3)
     init = Distribution(np.full(4, 0.25))
     for seed in CASE_II_SEEDS:
         trace = run_nonhomogeneous(
@@ -191,19 +188,17 @@ def test_criterion_07_impossibility():
     g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     split = Distribution(np.array([0.5, 0.0, 0.5, 0.0]))
     init = Distribution(np.full(4, 0.25))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        schedule = Schedule.power_gap(1, 3)
-        with pytest.raises(SupportSplitError):
-            run_nonhomogeneous(split, g, schedule, init, 100, seed=0)
-        with pytest.raises(SupportSplitError):
-            run_product(
-                ProductChainSpec(
-                    components=(ComponentSpec(target=split, graph=g, schedule=schedule),),
-                    steps=100,
-                    seed=0,
-                )
+    schedule = Schedule.power_gap(1, 3)
+    with pytest.raises(SupportSplitError):
+        run_nonhomogeneous(split, g, schedule, init, 100, seed=0)
+    with pytest.raises(SupportSplitError):
+        run_product(
+            ProductChainSpec(
+                components=(ComponentSpec(target=split, graph=g, schedule=schedule),),
+                steps=100,
+                seed=0,
             )
+        )
     # exhaustive reachability: no consistent walk touches both components
     comps = connected_components(g)
     comp_of = {lab: idx for idx, comp in enumerate(comps) for lab in comp}

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -362,8 +361,6 @@ class TestSchedule:
         sched = Schedule.power_gap(c=2, e=3)
         for l in range(1, 20):
             assert sched.time_at(l + 1) - sched.time_at(l) == 2 * l**3
-        assert sched.gap_ok(2, 3, horizon=sched.time_at(19))
-        assert not sched.gap_ok(3, 3, horizon=sched.time_at(19))
 
     def test_explicit_validation(self):
         with pytest.raises(ScheduleError):

@@ -495,7 +495,6 @@ class TestInputErrors:
         "error, code",
         [
             (chains.ChainError, 2),
-            (chains.GapConditionError, 2),
             (chains.SupportSplitError, 3),
         ],
     )

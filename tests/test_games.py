@@ -1,6 +1,5 @@
 import random
 import tempfile
-from itertools import product
 from pathlib import Path
 
 import numpy as np

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -44,7 +45,6 @@ from graphgame.simulate import (
     run_product,
     verify_consistency,
 )
-from graphgame.chains import GapConditionError
 from graphgame.repeated import ConstantPolicy
 
 from conftest import edge_labels
@@ -419,7 +419,8 @@ class TestProduct:
         with pytest.raises(SupportSplitError):
             run_product(spec)
 
-    def test_gap_condition_enforced(self, example_graph):
+    def test_unit_gap_schedule_runs_as_given(self, example_graph):
+        # a product run takes any valid schedule as given, like a single chain
         mu = dist(0.5, 0.5, 0.0, 0.0)
         slow = Schedule.explicit(list(range(1, 50)))  # unit gaps
         spec = ProductChainSpec(
@@ -428,11 +429,10 @@ class TestProduct:
             ),
             steps=40,
             seed=0,
-            gap_c=1,
-            gap_e=3,
         )
-        with pytest.raises(GapConditionError):
-            run_product(spec)
+        joint = run_product(spec)
+        single = run_nonhomogeneous(mu, example_graph, slow, mu, 40, seed=0)
+        assert np.array_equal(joint.components[0].states, single.states)
 
 
 class TestAccumulators:
@@ -496,6 +496,29 @@ class TestConsistencyCheck:
         g = path_graph(["a", "b", "c"])
         trace = Trace(np.array([0, 1]), ("c", "b", "a"), 0, np.array([1, 1, 0]))
         assert verify_consistency(trace, g)
+
+    def test_product_check_needs_no_dense_matrix(self):
+        side = [str(i) for i in range(120)]
+        g = strong_product([path_graph(side), path_graph(side)])
+        # down the diagonal (i, i) -> (i + 1, i + 1), 50 steps at each node
+        diagonal = np.repeat(np.arange(120) * 121, 50)
+        # from state 4096 on, (i, i) becomes (i - 2, i): the one jump is the
+        # move into state 4096, the first move that crosses a checked block
+        jump = diagonal.copy()
+        jump[4096:] -= 2 * 120
+        ok_trace, bad_trace = (
+            Trace(states, g.labels, 0, np.bincount(states, minlength=g.n))
+            for states in (diagonal, jump)
+        )
+        tracemalloc.start()
+        try:
+            ok = verify_consistency(ok_trace, g)
+            bad = verify_consistency(bad_trace, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and not bad
+        assert peak < 16_000_000
 
 
 class TestImpossibility:

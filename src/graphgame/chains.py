@@ -361,13 +361,7 @@ class Schedule:
             if b <= a:
                 raise ScheduleError("switch times must be strictly increasing")
         frozen = [int(t) for t in times]
-
-        def time_fn(l: int) -> int:
-            if l <= len(frozen):
-                return frozen[l - 1]
-            raise ScheduleError(f"explicit schedule has only {len(frozen)} times")
-
-        return cls("explicit", time_fn, max_intervals=len(frozen))
+        return cls("explicit", lambda l: frozen[l - 1], max_intervals=len(frozen))
 
     @classmethod
     def counterexample(cls, max_exponent: int = 50) -> "Schedule":

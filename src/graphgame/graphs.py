@@ -4,10 +4,10 @@ Nodes are ordered string labels, internally dense integer indices in
 label-table order. Edges and neighbour lists are kept sorted by index, so no
 result depends on the order in which a graph's edges were listed.
 Self-loops are never stored: the adjacency predicate treats each node as
-adjacent to itself, and `Graph.closed_adjacency` is that predicate as a
-matrix. Products work on the edge arrays, never on a product-sized matrix:
-an arc of a strong product is one closed arc (a node to itself, or an edge
-in either direction) per factor, so a product of factors with n_h nodes and
+adjacent to itself; `Graph.allows` tests arrays of moves on the arc keys.
+Products work on the edge arrays, never on a product-sized matrix: an arc
+of a strong product is one closed arc (a node to itself, or an edge in
+either direction) per factor, so a product of factors with n_h nodes and
 e_h edges has N = prod(n_h) nodes and (prod(n_h + 2 e_h) - N) / 2 edges.
 """
 
@@ -36,7 +36,7 @@ class Graph:
     holds the sorted index pairs (i, j), i < j, and the neighbours of i,
     ascending, are `indices[indptr[i]:indptr[i + 1]]` (compressed sparse rows)."""
 
-    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_closed", "_neighbors")
+    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_arcs", "_neighbors")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labels = tuple(nodes)
@@ -72,7 +72,7 @@ class Graph:
         self.indptr = np.concatenate([[0], np.bincount(arcs // n, minlength=n).cumsum()])
         for array in (self.edges, self.indices, self.indptr):
             array.setflags(write=False)
-        self._closed = self._neighbors = None
+        self._arcs = self._neighbors = None
 
     @property
     def n(self) -> int:
@@ -96,16 +96,21 @@ class Graph:
         """Adjacent-or-equal predicate on node indices."""
         return i == j or j in self.neighbors(i)
 
-    def closed_adjacency(self) -> np.ndarray:
-        """Boolean A + I in node order: entry (i, j) is adjacent-or-equal.
-        Built on first use, cached and read-only."""
-        if self._closed is None:
-            closed = np.eye(self.n, dtype=bool)
-            i, j = self.edges.T
-            closed[i, j] = closed[j, i] = True
-            closed.setflags(write=False)
-            self._closed = closed
-        return self._closed
+    def allows(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Adjacent-or-equal, elementwise over node-index arrays: each move
+        i -> j with i != j is looked up among the sorted arc keys i * n + j,
+        built on first use. An index outside [0, n) is never allowed."""
+        n = self.n
+        if self._arcs is None:
+            # a sentinel key n * n past every arc, so no graph has an empty key array
+            starts = np.repeat(np.arange(n), np.diff(self.indptr))
+            self._arcs = np.append(starts * n + self.indices, n * n)
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        keys = src * n + dst
+        # clipped, a key out of range reads some arc; the range test below rejects it
+        hit = self._arcs.take(np.searchsorted(self._arcs, keys), mode="clip") == keys
+        # viewed unsigned, a negative index is past n too
+        return (hit | (src == dst)) & (src.view(np.uint64) < n) & (dst.view(np.uint64) < n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -209,7 +214,8 @@ def factorize(
     axes = [tuple(axis) for axis in axis_spec]
     if not axes or any(not axis for axis in axes):
         raise GraphError("axis spec must contain nonempty axes")
-    if any(len(set(axis)) != len(axis) for axis in axes):
+    members = [set(axis) for axis in axes]
+    if any(len(m) != len(axis) for m, axis in zip(members, axes)):
         raise GraphError("axis labels must be unique")
     expected = math.prod(len(axis) for axis in axes)
     if g.n != expected:
@@ -220,7 +226,7 @@ def factorize(
         if len(parts) != len(axes):
             raise GraphError(f"node {label!r} is not a well-formed tuple")
         for h, part in enumerate(parts):
-            if part not in axes[h]:
+            if part not in members[h]:
                 raise GraphError(f"node {label!r} has unknown coordinate {part!r}")
         seen.add(parts)
     if len(seen) != expected:
@@ -236,7 +242,7 @@ def factorize(
     for axis, c, off in zip(axes, coords, off_origin):
         on_line = c[off_axes == off]
         factor = Graph(axis, [(axis[i], axis[j]) for i, j in on_line.tolist()])
-        if not factor.closed_adjacency()[c[:, 0], c[:, 1]].all():
+        if not factor.allows(c[:, 0], c[:, 1]).all():
             return None
         factors.append(factor)
     if 2 * len(g.edges) != math.prod(f.n + 2 * len(f.edges) for f in factors) - g.n:

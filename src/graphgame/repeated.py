@@ -62,15 +62,10 @@ class PlayersInit:
 
 @dataclass(frozen=True)
 class RefereeInit:
-    """Initial strategies assigned by a referee: either a fixed profile or
-    per-coalition distributions drawn on each coalition's own stream."""
+    """Initial strategies drawn by a referee from per-coalition distributions,
+    each on its coalition's own stream."""
 
-    profile: Profile | None = None
-    distributions: tuple[Distribution, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.profile is None) == (self.distributions is None):
-            raise ValueError("provide exactly one of profile or distributions")
+    distributions: tuple[Distribution, ...]
 
 
 def _next_hop_table(g: Graph, targets: Sequence[int]) -> list[int | None]:
@@ -285,11 +280,11 @@ class RepeatedConfig:
         derived = factorize(game.graph, game.spaces)
         if derived is None or derived.factors != factors:
             raise ValueError("decomposition does not reproduce the game graph")
-        if isinstance(self.init, PlayersInit) or self.init.profile is not None:
+        if isinstance(self.init, PlayersInit):
             game.validate_profile(self.init.profile)
         else:
             dists = self.init.distributions
-            if dists is None or len(dists) != game.r:
+            if len(dists) != game.r:
                 raise ValueError("one referee distribution per coalition required")
             for h, d in enumerate(dists):
                 if d.n != game.dims[h]:
@@ -302,7 +297,7 @@ class RepeatedConfig:
 
 def _initial_strategy(config: RepeatedConfig, h: int, stream: UniformStream) -> int:
     init = config.init
-    if isinstance(init, PlayersInit) or init.profile is not None:
+    if isinstance(init, PlayersInit):
         return init.profile[h]
     return draw_index(cumulative_row(init.distributions[h].masses), stream.next())
 
@@ -329,7 +324,7 @@ def _table_path(
 ) -> np.ndarray:
     """A table policy's whole path, checked against the factor's edges at once."""
     path = policy._path(start, stages, stream)
-    bad = np.flatnonzero(~factor.closed_adjacency()[path[:-1], path[1:]])
+    bad = np.flatnonzero(~factor.allows(path[:-1], path[1:]))
     if bad.size:
         t = int(bad[0]) + 1
         _check_move(factor, h, int(path[t - 1]), int(path[t]), t)

@@ -460,24 +460,15 @@ def empirical_distribution(trace: Trace) -> Distribution:
     return Distribution(trace.counts / trace.length)
 
 
-_CHECK_BLOCK = 4096  # trace steps checked at a time, in two buffers allocated once
+_CHECK_BLOCK = 4096  # trace steps checked at a time
 
 
 def verify_consistency(trace: Trace, g: Graph) -> bool:
-    """Every consecutive pair of states is adjacent-or-equal in `g`: each move
-    i -> j with i != j is looked up among g's sorted arc keys i * n + j."""
+    """Every consecutive pair of states is adjacent-or-equal in `g`, checked
+    by `Graph.allows` one block of steps at a time."""
     perm = np.array([g.index(lab) for lab in trace.state_labels], dtype=np.int64)
-    n = g.n
-    # a sentinel key n * n, past every arc, so each lookup lands in the array
-    arcs = np.append(np.repeat(np.arange(n), np.diff(g.indptr)) * n + g.indices, n * n)
-    # reused per block: fresh arrays per block raised peak RSS by up to 1 MB
-    seq = np.empty(_CHECK_BLOCK + 1, dtype=np.int64)
-    keys = np.empty(_CHECK_BLOCK, dtype=np.int64)
     for a in range(0, trace.length - 1, _CHECK_BLOCK):
-        block = trace.states[a : a + _CHECK_BLOCK + 1]
-        s = np.take(perm, block, out=seq[: block.size])
-        k = np.multiply(s[:-1], n, out=keys[: block.size - 1])
-        k += s[1:]
-        if not np.all((s[:-1] == s[1:]) | (arcs[np.searchsorted(arcs, k)] == k)):
+        s = perm[trace.states[a : a + _CHECK_BLOCK + 1]]
+        if not g.allows(s[:-1], s[1:]).all():
             return False
     return True

@@ -67,6 +67,13 @@ class TestAdjacency:
                 assert adjacent(g, u, u)
                 for v in labels:
                     assert adjacent(g, u, v) == adjacent(g, v, u)
+            src, dst = np.divmod(np.arange(g.n * g.n), g.n)
+            expected = [g.adjacent_indices(i, j) for i, j in zip(src.tolist(), dst.tolist())]
+            assert g.allows(src, dst).tolist() == expected
+            for bad in (-1, g.n):
+                others = np.arange(-1, g.n + 1)
+                assert not g.allows(np.full_like(others, bad), others).any()
+                assert not g.allows(others, np.full_like(others, bad)).any()
 
     def test_rejects_stored_self_loop(self):
         with pytest.raises(GraphError):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +533,30 @@ class TestSimulateRepeated:
         assert calls == [1, 2, 3]
         assert trace.components[0].states.tolist() == [0, 1, 0, 1]
 
+    def test_large_strategy_space_needs_no_dense_matrix(self):
+        """Decomposing and playing a 10 000-strategy path game checks its
+        moves on the arc keys: no 10^8-cell adjacency matrix."""
+        n = 10_000
+        factor = path_graph([f"s{i}" for i in range(n)])
+        game = one_coalition_game(factor)
+        tracemalloc.start()
+        try:
+            dec = decompose_game(game)
+            config = RepeatedConfig(
+                game=game,
+                decomposition=dec,
+                policies=(ConstantPolicy(dec.factors[0], n - 1),),
+                init=PlayersInit((0,)),
+                horizon=20_000,
+            )
+            trace, _ = simulate_repeated(config, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = trace.components[0].states
+        assert states[:n].tolist() == list(range(n)) and (states[n:] == n - 1).all()
+        assert peak < 32_000_000
+
 
 def ulp_neighbourhood(points, width=3):
     out = []
@@ -679,7 +704,7 @@ class TestDeviationTest:
             game=game,
             decomposition=dec,
             policies=policies,
-            init=RefereeInit(profile=(0, 0)),
+            init=PlayersInit((0, 0)),
             t_eval=2000,
         )
         for coalition in range(2):
@@ -820,9 +845,3 @@ class TestConfigValidation:
                 init=PlayersInit((0, 0)),
                 horizon=1,
             )
-
-    def test_referee_init_validation(self):
-        with pytest.raises(ValueError):
-            RefereeInit()
-        with pytest.raises(ValueError):
-            RefereeInit(profile=(0, 0), distributions=(dist(1.0),))

@@ -195,7 +195,6 @@ class KernelCore:
         self._is_neighbor = slot < degree[:, None]
         cols[self._is_neighbor] = g.indices  # row-major: each row's neighbours ascending
         self.cols = cols
-        self._entries = np.nonzero(slot <= degree[:, None])  # (node, slot) of every entry
 
     def levels(self, masses: np.ndarray) -> KernelLevels:
         """The kernel of each row of the (L, n) stack `masses`, every level
@@ -221,17 +220,6 @@ class KernelCore:
         _check_rows(values, diagonal)
         return KernelLevels(order, position, p, cols, values)
 
-    def kernel(self, target: Distribution) -> TransitionKernel:
-        """The dense kernel of one target: its single level scattered into an
-        n x n matrix over the mass order."""
-        built = self.levels(target.masses[None, :])
-        position = built.position[0]
-        nodes, slots = self._entries
-        matrix = np.zeros((self.graph.n, self.graph.n))
-        matrix[position[nodes], position[self.cols[nodes, slots]]] = built.values[0, nodes, slots]
-        labels = tuple(self.graph.labels[i] for i in built.order[0].tolist())
-        return TransitionKernel(matrix, labels, float(built.p[0]))
-
 
 def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     """Reversible graph-supported kernel with invariant law `target`.
@@ -243,7 +231,15 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     """
     if len(connected_components(g)) != 1:
         raise NotConnectedError("kernel construction needs a connected graph")
-    return KernelCore(g).kernel(target)
+    core = KernelCore(g)
+    built = core.levels(target.masses[None, :])
+    position = built.position[0]
+    # the (node, slot) of every entry, which leaves out the padding
+    nodes, slots = np.nonzero(np.arange(core.cols.shape[1]) <= core._degree[:, None])
+    matrix = np.zeros((g.n, g.n))
+    matrix[position[nodes], position[core.cols[nodes, slots]]] = built.values[0, nodes, slots]
+    labels = tuple(g.labels[i] for i in built.order[0].tolist())
+    return TransitionKernel(matrix, labels, float(built.p[0]))
 
 
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:

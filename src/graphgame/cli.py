@@ -22,6 +22,7 @@ import numpy as np
 from . import formats
 from .chains import (
     ChainError,
+    KernelCore,
     Schedule,
     ScheduleError,
     SupportSplitError,
@@ -152,7 +153,9 @@ def cmd_mcmc_build(args) -> int:
         "stationary_max_error": float(np.abs(pi - want).max()),
         "states": list(kernel.state_labels),
     }
-    formats.dump_kernel_csv(kernel, out / "kernel.csv")
+    # the levels `build_kernel` scattered into `kernel`, the same floats
+    levels = KernelCore(g).levels(target.masses[None, :])
+    formats.dump_kernel_csv(levels, g.labels, out / "kernel.csv")
     formats.dump_json(build, out / "build.json")
     print(f"kernel -> {out / 'kernel.csv'}")
     return EXIT_OK
@@ -186,7 +189,8 @@ def cmd_mcmc_run(args) -> int:
         series.append((t, total_variation(counts / t, target.masses)))
     formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
     # the kernel driving the last transition
-    formats.dump_kernel_csv(realization.kernel_at(args.steps - 2), out / "kernel.csv")
+    labels = [g.labels[i] for i in realization.nodes]
+    formats.dump_kernel_csv(realization.level_at(args.steps - 2), labels, out / "kernel.csv")
 
     tv_final = series[-1][1]
     summary = {

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .chains import TransitionKernel
+from .chains import KernelLevels
 from .games import CoalitionStructure, GGame
 from .graphs import TUPLE_SEP, Graph
 from .mixed import Distribution, MixedProfile
@@ -202,15 +202,21 @@ def mixed_from_dict(data: dict, game: GGame) -> MixedProfile:
 
 # -- CSV artifacts ----------------------------------------------------------
 
-def dump_kernel_csv(kernel: TransitionKernel, path: Path) -> None:
-    """One row per state; `fmt_float` formats only nonzero and -0.0 cells."""
-    cells = np.full(kernel.matrix.shape, "0", dtype=object)
-    written = (kernel.matrix != 0) | np.signbit(kernel.matrix)
-    cells[written] = [fmt_float(x) for x in kernel.matrix[written].tolist()]
+def dump_kernel_csv(levels: KernelLevels, labels: Sequence[str], path: Path) -> None:
+    """Level 0 of `levels` as its dense kernel: a header of the states in
+    mass order, then one row per state, "0" in every cell but the row's
+    nonzero entries, which `fmt_float` formats. `labels` name the levels'
+    nodes. One row of cells is held at a time."""
+    order, position, values = levels.order[0], levels.position[0], levels.values[0]
+    columns = position[levels.cols]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(kernel.state_labels)
-        for row in cells:
-            fh.write(",".join(row.tolist()) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow([labels[i] for i in order.tolist()])
+        for node in order.tolist():
+            cells = ["0"] * order.size
+            for col, x in zip(columns[node].tolist(), values[node].tolist()):
+                if x:  # the core writes +0.0 where a row has no entry, never -0.0
+                    cells[col] = fmt_float(x)
+            fh.write(",".join(cells) + "\n")
 
 
 # Rows joined per write, which bounds the writer's memory. A block starts at a

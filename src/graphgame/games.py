@@ -75,6 +75,8 @@ class GGame:
         dims = tuple(len(s) for s in spaces)
         if any(d == 0 for d in dims):
             raise ValueError("strategy spaces must be nonempty")
+        if any(len(set(s)) != d for s, d in zip(spaces, dims)):
+            raise ValueError("strategy labels must be unique within each coalition")
         if payoffs is None:
             if player_payoffs is None:
                 raise ValueError("payoffs or player_payoffs required")

@@ -106,11 +106,13 @@ class Graph:
             starts = np.repeat(np.arange(n), np.diff(self.indptr))
             self._arcs = np.append(starts * n + self.indices, n * n)
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        keys = src * n + dst
+        allowed = src == dst
+        moves = ~allowed
+        keys = src[moves] * n + dst[moves]
         # clipped, a key out of range reads some arc; the range test below rejects it
-        hit = self._arcs.take(np.searchsorted(self._arcs, keys), mode="clip") == keys
+        allowed[moves] = self._arcs.take(np.searchsorted(self._arcs, keys), mode="clip") == keys
         # viewed unsigned, a negative index is past n too
-        return (hit | (src == dst)) & (src.view(np.uint64) < n) & (dst.view(np.uint64) < n)
+        return allowed & (src.view(np.uint64) < n) & (dst.view(np.uint64) < n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

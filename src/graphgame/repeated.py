@@ -269,16 +269,8 @@ class RepeatedConfig:
             raise ValueError("horizon must be positive")
         if self.horizon is None and self.t_eval < 1:
             raise ValueError("t_eval must be positive")
-        factors = self.decomposition.factors
-        if len(factors) != game.r:
-            raise ValueError("decomposition arity does not match the game")
-        for h, factor in enumerate(factors):
-            if factor.labels != game.spaces[h]:
-                raise ValueError(
-                    f"factor {h} nodes do not match the coalition strategy space"
-                )
         derived = factorize(game.graph, game.spaces)
-        if derived is None or derived.factors != factors:
+        if derived is None or derived.factors != self.decomposition.factors:
             raise ValueError("decomposition does not reproduce the game graph")
         if isinstance(self.init, PlayersInit):
             game.validate_profile(self.init.profile)

@@ -183,14 +183,6 @@ class TransitionTable:
         self.succ = succ
 
     @classmethod
-    def from_kernel(cls, kernel: TransitionKernel, labels: Sequence[str]) -> "TransitionTable":
-        """The kernel's rows indexed by position in `labels`."""
-        index = {lab: i for i, lab in enumerate(labels)}
-        node_of_pos = np.array([index[lab] for lab in kernel.state_labels], dtype=np.intp)
-        cum, succ = _table_rows(kernel.matrix, np.broadcast_to(node_of_pos, kernel.matrix.shape))
-        return cls._indexed(node_of_pos.tolist(), cum, succ, len(labels))
-
-    @classmethod
     def from_levels(
         cls, levels: KernelLevels, nodes: Sequence[int], size: int
     ) -> list["TransitionTable"]:
@@ -244,7 +236,7 @@ class Realization:
 
     Construction classifies and restricts the graph once and builds no
     kernel. A run tabulates the levels it visits that are not tabulated
-    yet, all in one batch; `kernel_at` builds a dense kernel on request.
+    yet, all in one batch; `level_at` builds one level on request.
     `nodes` are the states the chain lives on, in graph node order.
     """
 
@@ -278,15 +270,15 @@ class Realization:
             return np.broadcast_to(self._masses, (len(levels), self._masses.size))
         return _smoothed_masses(self._masses, levels)[0]
 
-    def kernel_at(self, t: int) -> TransitionKernel:
-        """The dense kernel in force at transition time t. A schedule's chain
-        holds still before the first switch time; those times map to its
-        first kernel."""
+    def level_at(self, t: int) -> KernelLevels:
+        """The kernel in force at transition time t, as a one-level stack on
+        the chain's states. A schedule's chain holds still before the first
+        switch time; those times map to its first kernel."""
         level = 0
         if self.schedule is not None:
             schedule = self.schedule
             level = schedule.smoothing_index(schedule.interval_index(max(t, schedule.first_time)))
-        return self._core.kernel(Distribution(self._level_masses([level])[0]))
+        return self._core.levels(self._level_masses([level]))
 
     def _build_tables(self, levels: list[int | None]) -> None:
         """Tabulate every level in `levels` not tabulated yet (None is a
@@ -356,7 +348,8 @@ def run_homogeneous(
     stream = make_stream(seed)
     states = np.empty(steps, dtype=np.int64)
     start = draw_index(cumulative_row(init.masses), stream.next())
-    TransitionTable.from_kernel(kernel, kernel.state_labels).run(start, steps, stream, states)
+    cum, succ = _table_rows(kernel.matrix, np.broadcast_to(np.arange(kernel.n), (kernel.n,) * 2))
+    TransitionTable(cum, succ).run(start, steps, stream, states)
     counts = np.bincount(states, minlength=kernel.n)
     return Trace(states, kernel.state_labels, seed, counts)
 

@@ -8,10 +8,12 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from graphgame.chains import KernelLevels, TransitionKernel
 from graphgame.formats import graph_to_dict
 from graphgame.games import CoalitionStructure, GGame
 from graphgame.graphs import Graph, complete_graph, edgeless_graph
 from graphgame.repeated import Policy, RepeatedError
+from graphgame.simulate import TransitionTable, _table_rows
 
 
 def random_graph(rng: random.Random, labels: list[str], p_edge: float = 0.5) -> Graph:
@@ -86,6 +88,25 @@ def game_to_dict(game: GGame) -> dict:
         "payoffs": [t.reshape(-1).tolist() for t in game.payoffs],
         "graph": graph_to_dict(game.graph),
     }
+
+
+def level_kernel(levels: KernelLevels, labels: Sequence[str]) -> TransitionKernel:
+    """Level 0 of `levels` as the dense kernel `build_kernel` returns, the
+    levels' nodes named by `labels`. Entries are added into a zero matrix:
+    a padding entry adds 0.0 to its row's diagonal, which leaves it as is."""
+    order, position = levels.order[0], levels.position[0]
+    matrix = np.zeros((order.size, order.size))
+    rows = np.broadcast_to(position[:, None], levels.cols.shape)
+    np.add.at(matrix, (rows, position[levels.cols]), levels.values[0])
+    return TransitionKernel(matrix, tuple(labels[i] for i in order.tolist()), float(levels.p[0]))
+
+
+def kernel_table(kernel: TransitionKernel, labels: Sequence[str]) -> TransitionTable:
+    """The table of `kernel`'s rows, state i being labels[i]."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    node_of_pos = np.array([index[lab] for lab in kernel.state_labels], dtype=np.intp)
+    cum, succ = _table_rows(kernel.matrix, np.broadcast_to(node_of_pos, kernel.matrix.shape))
+    return TransitionTable._indexed(node_of_pos.tolist(), cum, succ, len(labels))
 
 
 class ScriptedPolicy(Policy):

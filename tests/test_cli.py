@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -252,6 +253,33 @@ class TestMcmcRun:
         main(args + ["--out", str(out2)])
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    @pytest.mark.parametrize("atoms", [None, (0, 1000, 2000)], ids=["uniform", "smoothed"])
+    def test_ring_memory_is_bounded(self, tmp_path, atoms):
+        """On a 4000-node ring the run writes a 32 MB `kernel.csv` from the
+        padded rows of one level, one row at a time; a dense 4000 x 4000
+        kernel alone takes 128 MB. With three pairwise non-adjacent atoms
+        the target is smoothed."""
+        n = 4000
+        labels = [f"v{i}" for i in range(n)]
+        edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+        nodes = labels if atoms is None else [labels[i] for i in atoms]
+        (tmp_path / "graph.json").write_text(json.dumps({"nodes": labels, "edges": edges}))
+        (tmp_path / "target.json").write_text(json.dumps({v: 1 / len(nodes) for v in nodes}))
+        argv = ["mcmc-run", str(tmp_path / "graph.json"), str(tmp_path / "target.json")]
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--steps", "2000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert read_json(out / "summary.json")["case"] == (
+            "support-connected" if atoms is None else "support-in-component"
+        )
+        assert (out / "kernel.csv").stat().st_size > n * n
+        assert peak < 48 * 2**20
+
 
 class TestEdgeOrder:
     @pytest.mark.parametrize("target", ["positive", "two-nodes"])
@@ -395,6 +423,18 @@ EDGES_NOT_A_LIST_GAME = json.dumps(
     }
 )
 
+# coalition C1 lists the strategy "a" twice, so its one profile label "a|x"
+# would stand for two profiles
+REPEATED_LABEL_GAME = json.dumps(
+    {
+        "players": 2,
+        "coalitions": [[1], [2]],
+        "strategies": [["a", "a"], ["x"]],
+        "payoffs": [[1, 0], [0, 1]],
+        "graph": {"nodes": ["a|x"], "edges": []},
+    }
+)
+
 def pennies_document(**fields) -> str:
     """The matching-pennies game file with some fields replaced."""
     doc = json.loads((FIXTURES / "matching_pennies.json").read_text())
@@ -444,6 +484,8 @@ INPUT_ERRORS = {
         ["analyze", "{target}"],
         pennies_document().replace("[1, -1, -1, 1]", "[1" + "0" * 400 + ", -1, -1, 1]"),
     ),
+    "repeated-label-analyze": (["analyze", "{target}"], REPEATED_LABEL_GAME),
+    "repeated-label-decompose": (["decompose", "{target}"], REPEATED_LABEL_GAME),
     "unreachable-deviation-probe": (
         ["folk-check", "{target}", "--t-eval", "50", "--dev-steps", "20", "--replicas", "2"],
         UNREACHABLE_PROBE_GAME,

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from graphgame.chains import TransitionKernel, build_kernel
+from graphgame.chains import KernelCore, build_kernel, smooth
 from graphgame.formats import (
     _TRACE_ROWS,
     FormatError,
@@ -29,7 +30,7 @@ from graphgame.graphs import Graph, path_graph
 from graphgame.mixed import Distribution, MixedProfile
 from graphgame.simulate import Trace, _joint_trace, run_homogeneous
 
-from conftest import edge_labels, game_to_dict, matching_pennies
+from conftest import edge_labels, game_to_dict, matching_pennies, random_connected_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -173,12 +174,12 @@ def cell_writer_kernel_csv(kernel, path: Path) -> None:
             fh.write(",".join(map(fmt_float, row.tolist())) + "\n")
 
 
-# entries of a dense kernel row: zeros of both signs, subnormals, and floats
-# small enough that 11 of them leave the diagonal above 1/2
-DENSE_CELL = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
-    st.floats(min_value=0.0, max_value=0.04),
-)
+# the masses of a kernel test target, by kind; a "tiny" mass is set after the
+# others are normalized, to 0.0 in a target to smooth, else to TINY_MASS
+MASS_KIND = st.sampled_from(["drawn", "tie", "tiny"])
+# small enough to make the hop probability p subnormal once the tiny node's
+# neighbours hold a quarter of the mass, large enough to keep 2 * load finite
+TINY_MASS = 1.2e-308
 
 
 # labels csv.writer must quote or keep as they are, then arbitrary text
@@ -222,10 +223,11 @@ def assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path):
 
 class TestCsvFormats:
     def test_kernel_round_trip_exact(self, tmp_path):
-        kernel = build_kernel(
-            Distribution(np.array([0.5, 0.3, 0.2])), path_graph(["a", "b", "c"])
-        )
-        dump_kernel_csv(kernel, tmp_path / "k.csv")
+        target = Distribution(np.array([0.3, 0.2, 0.5]))
+        g = path_graph(["a", "b", "c"])
+        kernel = build_kernel(target, g)
+        levels = KernelCore(g).levels(target.masses[None, :])
+        dump_kernel_csv(levels, g.labels, tmp_path / "k.csv")
         with open(tmp_path / "k.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert tuple(header) == kernel.state_labels
@@ -272,26 +274,36 @@ class TestCsvFormats:
         assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path)
 
     @given(
-        data=st.data(),
-        n=st.integers(1, 12),
-        dense=st.lists(st.booleans(), min_size=12, max_size=12),
+        kinds=st.lists(MASS_KIND, min_size=1, max_size=12),
+        labels=st.lists(LABEL, min_size=12, max_size=12, unique=True),
+        smoothed=st.booleans(),
+        k=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
     )
     @trace_property(max_examples=200)
-    def test_kernel_csv_matches_cell_writer(self, data, n, dense, tmp_path):
-        """Rows are dense, or hold only signed zeros and subnormals off the
-        diagonal, which leaves the diagonal exactly 1.0."""
-        matrix = np.zeros((n, n))
-        for i in range(n):
-            cells = DENSE_CELL if dense[i] else st.sampled_from([0.0, -0.0, 5e-324, 1e-310])
-            row = data.draw(st.lists(cells, min_size=n, max_size=n))
-            row[i] = 0.0
-            row[i] = 1.0 - sum(row)
-            matrix[i] = row
-        labels = data.draw(st.lists(LABEL, min_size=n, max_size=n))
-        kernel = TransitionKernel(matrix, tuple(labels), 0.0)
-        dump_kernel_csv(kernel, tmp_path / "sparse.csv")
-        cell_writer_kernel_csv(kernel, tmp_path / "cells.csv")
-        assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    def test_kernel_csv_matches_cell_writer(self, kinds, labels, smoothed, k, seed, tmp_path):
+        """The row writer on the core's padded rows against every cell of
+        `build_kernel`'s dense matrix formatted, on random connected graphs,
+        with tied masses, subnormal hops and smoothed targets."""
+        rng = random.Random(seed)
+        n = len(kinds)
+        g = random_connected_graph(rng, labels[:n], extra=rng.choice([0.0, 0.3, 1.0]))
+        if kinds[0] == "tiny":  # some mass to normalize
+            kinds = ["tie", *kinds[1:]]
+        draw = {"drawn": lambda: rng.uniform(0.1, 3.0), "tie": lambda: 1.0, "tiny": lambda: 0.0}
+        masses = np.array([draw[kind]() for kind in kinds])
+        masses /= masses.sum()
+        tiny = [kind == "tiny" for kind in kinds]
+        if smoothed and any(tiny):
+            # the tiny masses are zeros here, in the low set at every level
+            target = smooth(Distribution(masses), k).smoothed
+        else:
+            masses[tiny] = TINY_MASS
+            target = Distribution(masses)
+        levels = KernelCore(g).levels(target.masses[None, :])
+        dump_kernel_csv(levels, g.labels, tmp_path / "rows.csv")
+        cell_writer_kernel_csv(build_kernel(target, g), tmp_path / "cells.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     def test_empirical_csv(self, tmp_path):
         kernel = build_kernel(

@@ -29,6 +29,8 @@ from graphgame.graphs import Graph, induced_subgraph
 from graphgame.mixed import Distribution
 from graphgame.simulate import Realization, TransitionTable, make_stream, run_nonhomogeneous
 
+from conftest import kernel_table
+
 
 def loop_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     """The kernel construction one edge at a time: each row's load summed in
@@ -203,7 +205,7 @@ class TestSmoothingLevels:
         for k in unique:
             table = realization._tables[k]
             kernel = build_kernel(smooth(restricted, k).smoothed, component)
-            expected = TransitionTable.from_kernel(kernel, g.labels)
+            expected = kernel_table(kernel, g.labels)
             assert table.cum == expected.cum and table.succ == expected.succ
             reference = loop_kernel(smooth(restricted, k).smoothed, component)
             assert (table.cum, table.succ) == loop_table(reference, g.labels)

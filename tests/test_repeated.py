@@ -46,7 +46,6 @@ from graphgame.repeated import (
 from graphgame.simulate import (
     ComponentSpec,
     ProductChainSpec,
-    TransitionTable,
     run_product,
     verify_consistency,
 )
@@ -55,6 +54,7 @@ from conftest import (
     ScriptedPolicy,
     coordination_game,
     edge_labels,
+    kernel_table,
     matching_pennies,
     random_graph,
 )
@@ -376,9 +376,7 @@ class TestSimulateRepeated:
         game = one_coalition_game(factor)
         dec = decompose_game(game)
         kernel = TransitionKernel(np.full((2, 2), 0.5), ("a", "c"), 0.5)
-        table = TablePolicy(
-            "off-edge", [None] * 3, TransitionTable.from_kernel(kernel, factor.labels)
-        )
+        table = TablePolicy("off-edge", [None] * 3, kernel_table(kernel, factor.labels))
 
         def stepwise(t, own, stream, joint):
             return (0, 2)[int(stream.next() >= 0.5)]

@@ -47,7 +47,7 @@ from graphgame.simulate import (
 )
 from graphgame.repeated import ConstantPolicy
 
-from conftest import edge_labels
+from conftest import edge_labels, level_kernel
 
 
 def dist(*masses):
@@ -209,7 +209,7 @@ class TestNonhomogeneous:
         steps = 10**6
         states = np.empty(steps, dtype=np.int64)
         realization.run(1, steps, make_stream(3), states)
-        kernel = realization.kernel_at(steps - 2)
+        kernel = level_kernel(realization.level_at(steps - 2), example_graph.labels)
         assert len(sched._times) <= 50 + 2
         # the same schedule without an open-ended last interval, walked one by one
         walked = Schedule("counterexample", lambda l: l, smoothing_fn=lambda l: 2 ** min(l, 50))
@@ -217,7 +217,8 @@ class TestNonhomogeneous:
         prefix = np.empty(5000, dtype=np.int64)
         reference.run(1, prefix.size, make_stream(3), prefix)
         assert np.array_equal(states[: prefix.size], prefix)
-        assert np.array_equal(kernel.matrix, reference.kernel_at(prefix.size).matrix)
+        last = level_kernel(reference.level_at(prefix.size), example_graph.labels)
+        assert np.array_equal(kernel.matrix, last.matrix)
 
     def test_split_support_rejected(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
@@ -257,19 +258,20 @@ class TestRealization:
         mu = dist(0.5, 0.5, 0.0, 0.0)
         sched = Schedule.power_gap()
         realization = Realization(mu, example_graph, sched)
+        labels = example_graph.labels
         for k in (1, 2, 4):
-            a = realization.kernel_at(sched.time_at(k))
+            a = level_kernel(realization.level_at(sched.time_at(k)), labels)
             b = build_kernel(smooth(mu, k).smoothed, example_graph)
             assert np.array_equal(a.matrix, b.matrix)
             assert a.state_labels == b.state_labels
             end = sched.time_at(k + 1) - 1
-            assert np.array_equal(realization.kernel_at(end).matrix, a.matrix)
+            assert np.array_equal(level_kernel(realization.level_at(end), labels).matrix, a.matrix)
 
     def test_counterexample_top_state_self_transition(self, example_graph):
         mu = dist(0.5, 0.5, 0.0, 0.0)
         realization = Realization(mu, example_graph, Schedule.counterexample())
         for l in range(1, 20):
-            kernel = realization.kernel_at(l)
+            kernel = level_kernel(realization.level_at(l), example_graph.labels)
             assert kernel.state_labels[0] == "s1"
             assert kernel.matrix[0, 0] == 1.0 - 2.0 ** -(l + 1)
             assert kernel.p == 2.0 ** -(l + 1)
@@ -288,7 +290,8 @@ class TestRealization:
         sched = Schedule.power_gap()
         realization = Realization(mu, g, sched)
         assert realization.nodes == (1, 2, 3)
-        kernel = realization.kernel_at(sched.time_at(3))
+        labels = [g.labels[i] for i in realization.nodes]
+        kernel = level_kernel(realization.level_at(sched.time_at(3)), labels)
         restricted = induced_subgraph(g, ["a", "b", "c"])
         reference = build_kernel(smooth(dist(0.5, 0.0, 0.5), 3).smoothed, restricted)
         assert set(kernel.state_labels) == {"a", "b", "c"}
@@ -320,7 +323,7 @@ class TestRealization:
                 Realization(mu, example_graph, Schedule.power_gap())
             ConstantPolicy(example_graph, 2)
             assert calls == []
-            Realization(dist(0.5, 0, 0.5, 0), example_graph).kernel_at(0)
+            Realization(dist(0.5, 0, 0.5, 0), example_graph).level_at(0)
         assert calls == [1]
 
 

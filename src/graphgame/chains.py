@@ -17,7 +17,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import accumulate, count
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,7 +114,10 @@ def _smoothed_masses(masses: np.ndarray, ks: Sequence[int]) -> tuple[np.ndarray,
     smoothed masses and the (L, n) masks of the low sets."""
     if any(k < 1 for k in ks):
         raise ValueError("k must be a positive integer")
-    k = np.array([float(k) for k in ks])[:, None]
+    try:
+        k = np.array([float(k) for k in ks])[:, None]
+    except OverflowError:
+        raise ValueError("k is too large to be a float") from None
     low = masses < 1.0 / k
     empty = ~low.any(axis=1)
     if empty.any():
@@ -301,27 +305,21 @@ def stationary_distribution(
 
 
 class Schedule:
-    """Strictly increasing kernel-switch times t_1 < t_2 < ...
+    """Strictly increasing kernel-switch times t_1 < t_2 < ... with the
+    smoothing level k_l in force during interval l, which covers the steps
+    in [t_l, t_{l+1}).
 
-    Interval l covers the steps in [t_l, t_{l+1}); by default the smoothing
-    level used during interval l is l itself, but a schedule may remap it
-    (the fast "counterexample" schedule doubles it every step).
+    `switches` yields the (t_l, k_l) pairs and is read only as far as a
+    caller needs; when it runs out, the last interval is open-ended.
     """
 
-    def __init__(
-        self,
-        label: str,
-        time_fn: Callable[[int], int],
-        smoothing_fn: Callable[[int], int] | None = None,
-        max_intervals: int | None = None,
-    ):
+    def __init__(self, label: str, switches: Iterable[tuple[int, int]]):
         self.label = label
-        self._time_fn = time_fn
-        self._smoothing_fn = smoothing_fn
-        self._max_intervals = max_intervals
-        self._times: list[int] = [int(time_fn(1))]
-        if self._times[0] < 0:
-            raise ScheduleError("switch times must be nonnegative")
+        self._switches = iter(switches)
+        self._times: list[int] = []
+        self._levels: list[int] = []
+        if not self._reach(1) or self._times[0] < 0:
+            raise ScheduleError("need a first switch time, and a nonnegative one")
 
     @classmethod
     def theoretical(cls, n_states: int) -> "Schedule":
@@ -330,7 +328,7 @@ class Schedule:
         if n_states < 1:
             raise ValueError("n_states must be positive")
         exponent = 5 * n_states
-        return cls(f"theoretical[N={n_states}]", lambda l: l**exponent)
+        return cls(f"theoretical[N={n_states}]", ((l**exponent, l) for l in count(1)))
 
     @classmethod
     def power_gap(cls, c: int = 1, e: int = 3) -> "Schedule":
@@ -342,22 +340,15 @@ class Schedule:
         """
         if c < 1 or e < 0:
             raise ValueError("need c >= 1 and e >= 0")
-
-        def time_fn(l: int) -> int:
-            return 1 + c * sum(j**e for j in range(1, l))
-
-        return cls(f"powergap[c={c},e={e}]", time_fn)
+        times = accumulate((c * j**e for j in count(1)), initial=1)
+        return cls(f"powergap[c={c},e={e}]", zip(times, count(1)))
 
     @classmethod
     def explicit(cls, times: list[int]) -> "Schedule":
         """Finite switch-time list; the last interval is open-ended."""
-        if not times:
-            raise ScheduleError("need at least one switch time")
-        for a, b in zip(times, times[1:]):
-            if b <= a:
-                raise ScheduleError("switch times must be strictly increasing")
-        frozen = [int(t) for t in times]
-        return cls("explicit", lambda l: frozen[l - 1], max_intervals=len(frozen))
+        schedule = cls("explicit", zip(times, count(1)))
+        schedule.time_at(len(times))  # checks every time up front
+        return schedule
 
     @classmethod
     def counterexample(cls, max_exponent: int = 50) -> "Schedule":
@@ -369,49 +360,56 @@ class Schedule:
         is then fixed from interval `max_exponent` on, so that interval is the
         open-ended last one.
         """
-        return cls(
-            "counterexample",
-            lambda l: l,
-            smoothing_fn=lambda l: 2 ** min(l, max_exponent),
-            max_intervals=max(max_exponent, 1),
-        )
+        levels = (2 ** min(l, max_exponent) for l in range(1, max(max_exponent, 1) + 1))
+        return cls("counterexample", zip(count(1), levels))
 
     @property
     def first_time(self) -> int:
         return self._times[0]
 
-    def has_interval(self, l: int) -> bool:
-        return l >= 1 and (self._max_intervals is None or l <= self._max_intervals)
+    def _reach(self, l: int) -> bool:
+        """Read the switches up to interval l; whether the schedule has it."""
+        while len(self._times) < l:
+            pair = next(self._switches, None)
+            if pair is None:
+                return False
+            t, k = int(pair[0]), int(pair[1])
+            if self._times and t <= self._times[-1]:
+                raise ScheduleError("switch times must be strictly increasing")
+            self._times.append(t)
+            self._levels.append(k)
+        return True
 
     def time_at(self, l: int) -> int:
         """Switch time t_l (1-indexed)."""
-        if not self.has_interval(l):
+        if l < 1 or not self._reach(l):
             raise ScheduleError(f"schedule {self.label} has no interval {l}")
-        while len(self._times) < l:
-            nxt = int(self._time_fn(len(self._times) + 1))
-            if nxt <= self._times[-1]:
-                raise ScheduleError("switch times must be strictly increasing")
-            self._times.append(nxt)
         return self._times[l - 1]
-
-    def interval_end(self, l: int) -> int | None:
-        """Start of the next interval, or None when `l` is open-ended."""
-        if not self.has_interval(l + 1):
-            return None
-        return self.time_at(l + 1)
 
     def interval_index(self, t: int) -> int:
         """The l with t in [t_l, t_{l+1}); error before the first switch."""
         if t < self._times[0]:
             raise ScheduleError(f"time {t} precedes the first switch time {self._times[0]}")
-        while self._times[-1] <= t and self.has_interval(len(self._times) + 1):
-            self.time_at(len(self._times) + 1)
+        while self._times[-1] <= t and self._reach(len(self._times) + 1):
+            pass
         return bisect_right(self._times, t)
 
     def smoothing_index(self, l: int) -> int:
-        if self._smoothing_fn is None:
-            return l
-        return int(self._smoothing_fn(l))
+        """The level k_l of interval l >= 1; past the end of a finite
+        schedule, its last level."""
+        self._reach(l)
+        return self._levels[min(l, len(self._levels)) - 1]
+
+    def segments(self, t: int, count: int) -> Iterator[tuple[int, int | None]]:
+        """The `count` transitions from time t on, as (run length, level)
+        runs: level None while t precedes t_1, then k_l for each interval l
+        they cross. This is the one walk from transition times to levels."""
+        end = t + count
+        l = 0 if t < self._times[0] else self.interval_index(t)  # 0: before t_1
+        while t < end:
+            nxt = self._times[l] if self._reach(l + 1) else end
+            yield min(nxt, end) - t, (self._levels[l - 1] if l else None)
+            t, l = nxt, l + 1
 
     def __repr__(self) -> str:
         return f"Schedule({self.label})"

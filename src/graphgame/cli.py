@@ -176,8 +176,6 @@ def cmd_mcmc_run(args) -> int:
     realization = component.realization
     schedule = realization.schedule
 
-    formats.dump_trace_csv(trace, out / "trace.csv")
-    formats.dump_empirical_csv(trace, out / "empirical.csv")
     # the counts over the first t states at every checkpoint t, one running
     # sum of one bincount per segment between checkpoints
     counts = np.zeros(g.n, dtype=np.intp)
@@ -187,10 +185,8 @@ def cmd_mcmc_run(args) -> int:
         counts += np.bincount(trace.states[done:t], minlength=g.n)
         done = t
         series.append((t, total_variation(counts / t, target.masses)))
-    formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
     # the kernel driving the last transition
-    labels = [g.labels[i] for i in realization.nodes]
-    formats.dump_kernel_csv(realization.level_at(args.steps - 2), labels, out / "kernel.csv")
+    levels = realization.level_at(args.steps - 2)
 
     tv_final = series[-1][1]
     summary = {
@@ -208,6 +204,11 @@ def cmd_mcmc_run(args) -> int:
             "steps": b,
             "tv_to_target": total_variation(tail, target.masses),
         }
+    formats.dump_trace_csv(trace, out / "trace.csv")
+    formats.dump_empirical_csv(trace, out / "empirical.csv")
+    formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
+    labels = [g.labels[i] for i in realization.nodes]
+    formats.dump_kernel_csv(levels, labels, out / "kernel.csv")
     formats.dump_json(summary, out / "summary.json")
     print(
         f"{realization.case.value}: tv_final={tv_final:.4f} "

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class Trace:
         return int(self.states.size)
 
     def prefix_counts(self, t: int) -> np.ndarray:
-        """Counts over the first t states only."""
-        if not 1 <= t <= self.length:
+        """Counts over the first t states only, zeros for t = 0."""
+        if not 0 <= t <= self.length:
             raise ValueError("prefix length out of range")
         return np.bincount(self.states[:t], minlength=len(self.state_labels))
 
@@ -270,15 +270,22 @@ class Realization:
             return np.broadcast_to(self._masses, (len(levels), self._masses.size))
         return _smoothed_masses(self._masses, levels)[0]
 
+    def _runs(self, t: int, count: int) -> Iterable[tuple[int, int | None]]:
+        """The `count` transitions from time t on as (run length, level)
+        runs: the schedule's segments, else one run on level 0, or of holds
+        (None) for a point mass."""
+        if self.schedule is not None:
+            return self.schedule.segments(t, count)
+        level = None if self.case is CaseLabel.POINT_MASS else 0
+        return [(count, level)] if count > 0 else []
+
     def level_at(self, t: int) -> KernelLevels:
         """The kernel in force at transition time t, as a one-level stack on
-        the chain's states. A schedule's chain holds still before the first
-        switch time; those times map to its first kernel."""
-        level = 0
-        if self.schedule is not None:
-            schedule = self.schedule
-            level = schedule.smoothing_index(schedule.interval_index(max(t, schedule.first_time)))
-        return self._core.levels(self._level_masses([level]))
+        the chain's states. Times before a schedule's first switch map to its
+        first kernel, and a point mass to its level-0 kernel."""
+        first = 0 if self.schedule is None else self.schedule.first_time
+        ((_, level),) = self._runs(max(t, first), 1)
+        return self._core.levels(self._level_masses([level or 0]))
 
     def _build_tables(self, levels: list[int | None]) -> None:
         """Tabulate every level in `levels` not tabulated yet (None is a
@@ -293,22 +300,6 @@ class Realization:
                 zip(batch, TransitionTable.from_levels(built, self.nodes, self.graph.n))
             )
 
-    def _segment(self, t: int, remaining: int) -> tuple[int, int | None]:
-        """How many of the next `remaining` transitions, from time t on, fall
-        in one schedule interval, and its smoothing level (0 for the one
-        kernel of a connected support, None while the chain holds)."""
-        if self.case is CaseLabel.POINT_MASS:
-            return remaining, None
-        if self.case is CaseLabel.SUPPORT_CONNECTED:
-            return remaining, 0
-        schedule = self.schedule
-        if t < schedule.first_time:
-            return min(schedule.first_time - t, remaining), None
-        interval = schedule.interval_index(t)
-        end = schedule.interval_end(interval)
-        count = remaining if end is None else min(end - t, remaining)
-        return count, schedule.smoothing_index(interval)
-
     def run(
         self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray, t0: int = 0
     ) -> None:
@@ -319,13 +310,7 @@ class Realization:
         starts."""
         if start_node not in self._members:
             raise ValueError("start node is not a state of the target's chain")
-        segments = []
-        filled, t = 1, t0
-        while filled < steps:
-            count, level = self._segment(t, steps - filled)
-            segments.append((count, level))
-            filled += count
-            t += count
+        segments = list(self._runs(t0, steps - 1))
         self._build_tables([level for _, level in segments])
         out[0] = node = start_node
         filled = 1

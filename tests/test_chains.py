@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ class TestSmooth:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             smooth(dist(1.0, 0.0), 0)
+
+    def test_k_beyond_float_range(self):
+        """The largest k that rounds to a float still smooths, as float(k);
+        one that overflows is a ValueError, not an OverflowError."""
+        mu = dist(0.5, 0.5, 0.0)
+        largest = 2**1024 - 2**970 - 1
+        out = smooth(mu, largest)
+        assert np.array_equal(out.smoothed.masses, smooth(mu, int(float(largest))).smoothed.masses)
+        for k in (largest + 1, 10**400):
+            with pytest.raises(ValueError, match="too large"):
+                smooth(mu, k)
 
 
 class TestMinValidK:
@@ -391,3 +403,35 @@ class TestSchedule:
         for max_exponent in (1, 5, 50):
             capped = Schedule.counterexample(max_exponent)
             assert capped.interval_index(10**6) == max_exponent
+
+    def test_power_gap_times_cost_constant_each(self):
+        sched = Schedule.power_gap(1, 0)
+        start = time.perf_counter()
+        assert sched.interval_index(20_000) == 20_000
+        assert time.perf_counter() - start < 1.0
+
+    def test_empty_switches_rejected(self):
+        for make in (lambda: Schedule("empty", iter(())), lambda: Schedule.explicit([])):
+            with pytest.raises(ScheduleError):
+                make()
+
+    def test_non_increasing_pair_rejected_when_reached(self):
+        sched = Schedule("late", iter([(1, 1), (4, 2), (4, 3)]))
+        assert sched.time_at(2) == 4
+        with pytest.raises(ScheduleError):
+            sched.time_at(3)
+        with pytest.raises(ScheduleError):
+            list(Schedule("late", iter([(1, 1), (4, 2), (3, 3)])).segments(0, 10))
+
+    def test_last_level_past_a_finite_end(self):
+        sched = Schedule.explicit([1, 5, 9])
+        assert [sched.smoothing_index(l) for l in (1, 3, 4, 100)] == [1, 3, 3, 3]
+
+    def test_segments(self):
+        sched = Schedule("given", iter([(3, 7), (5, 2), (6, 9)]))
+        assert list(sched.segments(0, 10)) == [(3, None), (2, 7), (1, 2), (4, 9)]
+        assert list(sched.segments(4, 2)) == [(1, 7), (1, 2)]
+        assert list(sched.segments(1, 1)) == [(1, None)]
+        assert list(sched.segments(2, 0)) == []
+        gaps = Schedule.power_gap(c=2, e=3).segments(1, 1 + 2 * sum(l**3 for l in range(1, 30)))
+        assert list(gaps) == [(2 * l**3, l) for l in range(1, 30)] + [(1, 30)]

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphgame import chains, cli, simulate
+from graphgame import chains, cli, formats, simulate
 from graphgame.cli import main
+from graphgame.mixed import NoConvergenceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -238,6 +239,25 @@ class TestMcmcRun:
         summary = read_json(tmp_path / "summary.json")
         assert summary["burn_in"]["steps"] == 1000
 
+    def test_burn_in_on_a_one_state_run(self, tmp_path):
+        """One state leaves no room for burn-in: it is reported as 0 steps."""
+        argv = ["mcmc-run", PATH5_GRAPH, UNIFORM5, "--steps", "1", "--burn-in", "5"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "summary.json")["burn_in"]["steps"] == 0
+
+    def test_theoretical_schedule(self, tmp_path):
+        """On the 4-node example the theoretical schedule switches at 1 and
+        2**20, so 5000 steps run on level 1 alone, as under `explicit([1])`."""
+        argv = ["mcmc-run", *EXAMPLE, "--schedule", "theoretical", "--steps", "5000"]
+        assert main(argv + ["--seed", "4", "--out", str(tmp_path / "run")]) == 0
+        assert read_json(tmp_path / "run" / "summary.json")["schedule"] == "theoretical[N=4]"
+        g = formats.load_graph(EXAMPLE[0])
+        target = formats.load_target(EXAMPLE[1], g)
+        component = simulate.ComponentSpec(target, g, chains.Schedule.explicit([1]))
+        spec = simulate.ProductChainSpec(components=(component,), steps=5000, seed=4)
+        formats.dump_trace_csv(simulate.run_product(spec).components[0], tmp_path / "trace.csv")
+        assert (tmp_path / "run" / "trace.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+
     def test_reruns_byte_identical(self, tmp_path):
         args = [
             "mcmc-run",
@@ -463,6 +483,10 @@ INPUT_ERRORS = {
         '{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}',
     ),
     "empty-low-set": (["mcmc-build", PATH5_GRAPH, UNIFORM5, "--smooth-k", "5"], None),
+    "smooth-k-beyond-float": (
+        ["mcmc-build", PATH5_GRAPH, "{target}", "--smooth-k", "1" + "0" * 400],
+        '{"a": 0.5, "c": 0.5}',
+    ),
     "unknown-schedule": (
         ["mcmc-run", *EXAMPLE, "--steps", "100", "--schedule", "bogus"], None
     ),
@@ -548,6 +572,16 @@ class TestInputErrors:
         argv = ["mcmc-build", PATH5_GRAPH, UNIFORM5, "--out", str(tmp_path)]
         assert main(argv) == code
         assert capsys.readouterr().err == "error: from the kernel\n"
+
+    def test_no_convergence_exit_5(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NoConvergenceError("fictitious play gave up")
+
+        monkeypatch.setattr(cli, "compute_mixed_equilibrium", fail)
+        out = tmp_path / "out"
+        assert main(["mixed", str(FIXTURES / "matching_pennies.json"), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == "error: fictitious play gave up\n"
+        assert not (out / "mixed.json").exists()
 
     def test_mcmc_build_writes_nothing_before_its_checks(self, tmp_path, monkeypatch, capsys):
         def fail(*args):

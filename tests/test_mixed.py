@@ -264,6 +264,24 @@ class TestComputeEquilibrium:
             solved += 1
         assert solved >= 10
 
+    def test_three_player_mismatch_game_needs_fictitious_play(self):
+        """Player i is paid for mismatching player i + 1 (mod 3): no pure
+        profile is an equilibrium, so fictitious play finds the mixed one."""
+        game = three_player_game(lambda h, prof: float(prof[h] != prof[(h + 1) % 3]))
+        with mock.patch.object(mixed, "_fictitious_play", wraps=mixed._fictitious_play) as fp:
+            mp = compute_mixed_equilibrium(game)
+        assert fp.call_count == 1
+        assert is_mixed_c_equilibrium(game, mp, tol=1e-6)
+
+    def test_fictitious_play_gives_up_at_its_cap(self):
+        """Matching pennies between players 1 and 2, with player 3
+        indifferent: play cycles and does not certify within 1000 steps."""
+        game = three_player_game(
+            lambda h, prof: (1.0, -1.0, 0.0)[h] * (1.0 if prof[0] == prof[1] else -1.0)
+        )
+        with pytest.raises(NoConvergenceError):
+            compute_mixed_equilibrium(game, cap=1000)
+
     def test_single_coalition(self):
         structure = CoalitionStructure((1,), ((1,),))
         spaces = (("a", "b", "c"),)
@@ -271,6 +289,18 @@ class TestComputeEquilibrium:
         game = GGame(structure, spaces, (t,), complete_graph(GGame.joint_labels(spaces)))
         mp = compute_mixed_equilibrium(game)
         assert mp.parts[0].masses[1] == 1.0
+
+
+def three_player_game(payoff) -> GGame:
+    """Three single-player coalitions with two strategies each on a complete
+    graph; payoff(h, profile) is coalition h's payoff."""
+    spaces = (("a", "b"),) * 3
+    structure = CoalitionStructure((1, 2, 3), ((1,), (2,), (3,)))
+    tensors = tuple(
+        np.array([payoff(h, prof) for prof in product(range(2), repeat=3)]).reshape(2, 2, 2)
+        for h in range(3)
+    )
+    return GGame(structure, spaces, tensors, complete_graph(GGame.joint_labels(spaces)))
 
 
 def bimatrix_game(a, b) -> GGame:

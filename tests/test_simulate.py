@@ -3,7 +3,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from unittest import mock
 
 import numpy as np
@@ -212,7 +212,7 @@ class TestNonhomogeneous:
         kernel = level_kernel(realization.level_at(steps - 2), example_graph.labels)
         assert len(sched._times) <= 50 + 2
         # the same schedule without an open-ended last interval, walked one by one
-        walked = Schedule("counterexample", lambda l: l, smoothing_fn=lambda l: 2 ** min(l, 50))
+        walked = Schedule("counterexample", ((l, 2 ** min(l, 50)) for l in count(1)))
         reference = Realization(mu, example_graph, walked)
         prefix = np.empty(5000, dtype=np.int64)
         reference.run(1, prefix.size, make_stream(3), prefix)
@@ -481,6 +481,13 @@ class TestAccumulators:
         trace = run_homogeneous(TWO_STATE_KERNEL, dist(0.5, 0.5), 100, seed=1)
         assert np.array_equal(trace.prefix_counts(trace.length), trace.counts)
         assert trace.prefix_counts(1).sum() == 1
+
+    def test_prefix_counts_bounds(self):
+        trace = run_homogeneous(TWO_STATE_KERNEL, dist(0.5, 0.5), 10, seed=1)
+        assert np.array_equal(trace.prefix_counts(0), [0, 0])
+        for t in (-1, trace.length + 1):
+            with pytest.raises(ValueError):
+                trace.prefix_counts(t)
 
 
 class TestConsistencyCheck:

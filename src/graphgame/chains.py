@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, count
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,6 +179,15 @@ class KernelLevels:
     cols: np.ndarray  # (n, D)
     values: np.ndarray  # (L, n, D)
 
+    def rows(self, l: int, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of level l's dense kernel, states in mass order;
+        padding adds 0.0 to the diagonal, which leaves it as is."""
+        nodes = self.order[l, start:stop]
+        out = np.zeros((len(nodes), len(self.cols)))
+        at = (np.arange(len(nodes))[:, None], self.position[l, self.cols[nodes]])
+        np.add.at(out, at, self.values[l, nodes])
+        return out
+
 
 class KernelCore:
     """The arithmetic of `build_kernel` for a stack of targets on one
@@ -225,6 +234,13 @@ class KernelCore:
         return KernelLevels(order, position, p, cols, values)
 
 
+def kernel_level(target: Distribution, g: Graph) -> KernelLevels:
+    """The one level of `target` on g, after checking that g is connected."""
+    if len(connected_components(g)) != 1:
+        raise NotConnectedError("kernel construction needs a connected graph")
+    return KernelCore(g).levels(target.masses[None, :])
+
+
 def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     """Reversible graph-supported kernel with invariant law `target`.
 
@@ -233,17 +249,9 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     of its mass on the diagonal; hops down the mass order use p, hops up use
     p scaled by the mass ratio, which forces detailed balance exactly.
     """
-    if len(connected_components(g)) != 1:
-        raise NotConnectedError("kernel construction needs a connected graph")
-    core = KernelCore(g)
-    built = core.levels(target.masses[None, :])
-    position = built.position[0]
-    # the (node, slot) of every entry, which leaves out the padding
-    nodes, slots = np.nonzero(np.arange(core.cols.shape[1]) <= core._degree[:, None])
-    matrix = np.zeros((g.n, g.n))
-    matrix[position[nodes], position[core.cols[nodes, slots]]] = built.values[0, nodes, slots]
+    built = kernel_level(target, g)
     labels = tuple(g.labels[i] for i in built.order[0].tolist())
-    return TransitionKernel(matrix, labels, float(built.p[0]))
+    return TransitionKernel(built.rows(0, 0, g.n), labels, float(built.p[0]))
 
 
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
@@ -251,8 +259,7 @@ def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
 
     With no negative entry, rows of disjoint supports (a zero in S S^T, S the
     support indicator) overlap by 0, the least possible, so the result is 1.0.
-    Otherwise the overlaps are computed for at most DOBRUSHIN_BLOCK values (one
-    row when n * n exceeds it) at a time, so memory grows as n**2, not n**3.
+    Otherwise the overlaps are computed by `_least_overlap`.
     """
     m = kernel.matrix if isinstance(kernel, TransitionKernel) else np.asarray(kernel, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -265,12 +272,88 @@ def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
         support = (m > 0).astype(np.float32)
         if not np.all(support @ support.T):
             return 1.0
-    rows = max(1, DOBRUSHIN_BLOCK // max(1, m.size))
-    overlap = min(
-        np.minimum(m[i : i + rows, None, :], m[None, :, :]).sum(axis=2).min()
-        for i in range(0, m.shape[0], rows)
+    return float(1.0 - _least_overlap(lambda i, j: m[i:j], len(m)))
+
+
+def _least_overlap(rows: Callable[[int, int], np.ndarray], n: int) -> float:
+    """The least overlap sum_k min(m_ik, m_jk) of two rows of the n x n
+    matrix m whose rows i:j are rows(i, j), taken over pairs of row blocks
+    whose elementwise minima hold at most DOBRUSHIN_BLOCK values."""
+    size = max(1, math.isqrt(DOBRUSHIN_BLOCK // max(1, n)))
+    # a pair's overlap sums the same values in the same order either way round
+    return min(
+        np.minimum(rows(i, i + size)[:, None], rows(k, k + size)[None]).sum(axis=2).min()
+        for i in range(0, n, size)
+        for k in range(i, n, size)
     )
+
+
+def level_dobrushin(levels: KernelLevels, l: int = 0) -> float:
+    """`dobrushin` of level l's kernel, bit for bit, with no dense matrix.
+
+    Rows of states 3 or more hops apart have disjoint supports, so the
+    coefficient is 1.0; a double-sweep breadth-first search (farthest from
+    node 0, then farthest from that) finds such a pair in O(E) on most graphs
+    of diameter 3 or more. Failing that, the overlaps of the dense rows in
+    mass order are summed by `_least_overlap`, as `dobrushin` sums them."""
+    _, src, dst, starts = _arcs(levels.cols)
+    src, dst = src.tolist(), dst.tolist()
+    order, via = _bfs(starts, dst, _bfs(starts, dst, 0)[0][-1])
+    hops, j = 0, order[-1]
+    while via[j] >= 0:
+        hops, j = hops + 1, src[via[j]]
+    if hops >= 3:
+        return 1.0
+    overlap = _least_overlap(lambda start, stop: levels.rows(l, start, stop), len(levels.cols))
     return float(1.0 - overlap)
+
+
+def detailed_balance(
+    levels: KernelLevels, masses: np.ndarray, l: int = 0
+) -> tuple[np.ndarray, float]:
+    """Level l's stationary law in node order, and the largest residual
+    |mu_i P_ij - mu_j P_ji| of `masses` mu over the arcs.
+
+    A reversible kernel on a connected graph has the law pi_j = pi_i P_ij /
+    P_ji along any spanning tree (Levin, Peres and Wilmer, Markov Chains and
+    Mixing Times, 2nd ed., 1.6); the tree is breadth-first from the heaviest
+    state. Python floats and an exact sum: no BLAS thread count moves a bit."""
+    mask, src, dst, starts = _arcs(levels.cols)
+    n = len(levels.cols)
+    hop = levels.values[l][mask]
+    back = hop[np.searchsorted(src * n + dst, dst * n + src)]  # P_ji of each arc i -> j
+    residual = float(np.abs(masses[src] * hop - masses[dst] * back).max(initial=0.0))
+    order, via = _bfs(starts, dst.tolist(), int(levels.order[l, 0]))
+    src, hop, back = src.tolist(), hop.tolist(), back.tolist()
+    pi = [0.0] * n
+    pi[order[0]] = 1.0
+    for j in order[1:]:
+        a = via[j]  # the tree arc i -> j
+        pi[j] = pi[src[a]] * hop[a] / back[a]
+    return np.array(pi) / math.fsum(pi), residual
+
+
+def _arcs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The arcs behind padded rows `cols`, by source, then target: the mask
+    of their slots, their sources and targets, and each source's start."""
+    mask = cols != np.arange(len(cols))[:, None]
+    starts = np.concatenate(([0], mask.sum(axis=1).cumsum())).tolist()
+    return mask, np.nonzero(mask)[0], cols[mask], starts
+
+
+def _bfs(starts: list[int], dst: list[int], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from `root` along node i's arcs starts[i] to
+    starts[i + 1] of `dst`, in order: the nodes in visit order, and the arc
+    that reached each (-1 at the root and at nodes never reached)."""
+    via = [-1] * (len(starts) - 1)
+    order = [root]
+    for i in order:
+        for a in range(starts[i], starts[i + 1]):
+            j = dst[a]
+            if via[j] < 0 and j != root:
+                via[j] = a
+                order.append(j)
+    return order, via
 
 
 def dobrushin_bound(n_states: int, k: int) -> float:

@@ -22,14 +22,13 @@ import numpy as np
 from . import formats
 from .chains import (
     ChainError,
-    KernelCore,
     Schedule,
     ScheduleError,
     SupportSplitError,
-    build_kernel,
-    dobrushin,
+    detailed_balance,
+    kernel_level,
+    level_dobrushin,
     smooth,
-    stationary_distribution,
 )
 from .games import pure_c_equilibria
 from .graphs import NotDecomposableError
@@ -106,15 +105,17 @@ def cmd_analyze(args) -> int:
     game = formats.load_game(args.game)
     out = _out_dir(args)
     equilibria = pure_c_equilibria(game)
+    # `GGame` names node_of(p) by the label that label_of(p) would join
+    label = game.graph.labels
     violations = {
-        game.label_of(prof): {
+        label[game.node_of(prof)]: {
             "coalition": formats.coalition_name(h),
-            "adjacent_profile": game.label_of(other),
+            "adjacent_profile": label[game.node_of(other)],
             "gain": gain,
         }
         for prof, (h, other, gain) in equilibria.violations.items()
     }
-    labels = sorted(game.label_of(p) for p in equilibria)
+    labels = sorted(label[game.node_of(p)] for p in equilibria)
     formats.dump_json(
         {"equilibria": labels, "violations": violations}, out / "equilibria.json"
     )
@@ -144,17 +145,15 @@ def cmd_mcmc_build(args) -> int:
     out = _out_dir(args)
     if args.smooth_k is not None:
         target = smooth(target, args.smooth_k).smoothed
-    kernel = build_kernel(target, g)
-    pi = stationary_distribution(kernel)
-    want = np.array([target.masses[g.index(lab)] for lab in kernel.state_labels])
+    levels = kernel_level(target, g)
+    pi, balance = detailed_balance(levels, target.masses)
     build = {
-        "p": kernel.p,
-        "dobrushin": dobrushin(kernel),
-        "stationary_max_error": float(np.abs(pi - want).max()),
-        "states": list(kernel.state_labels),
+        "p": float(levels.p[0]),
+        "dobrushin": level_dobrushin(levels),
+        "stationary_max_error": float(np.abs(pi - target.masses).max()),
+        "balance_max_error": balance,
+        "states": [g.labels[i] for i in levels.order[0].tolist()],
     }
-    # the levels `build_kernel` scattered into `kernel`, the same floats
-    levels = KernelCore(g).levels(target.masses[None, :])
     formats.dump_kernel_csv(levels, g.labels, out / "kernel.csv")
     formats.dump_json(build, out / "build.json")
     print(f"kernel -> {out / 'kernel.csv'}")

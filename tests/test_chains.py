@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphgame import chains
 from graphgame.chains import (
     DOBRUSHIN_BLOCK,
     CaseLabel,
@@ -17,8 +18,11 @@ from graphgame.chains import (
     TransitionKernel,
     build_kernel,
     chain_case,
+    detailed_balance,
     dobrushin,
     dobrushin_bound,
+    kernel_level,
+    level_dobrushin,
     min_valid_k,
     smooth,
     stationary_distribution,
@@ -360,6 +364,58 @@ class TestStationary:
                 [target.masses[g.index(lab)] for lab in kernel.state_labels]
             )
             assert np.all(np.abs(pi - expected) <= 1e-9)
+
+
+class TestLevelReadings:
+    """`detailed_balance` and `level_dobrushin` read a level's law and
+    coefficient off its padded rows; the dense `stationary_distribution` and
+    `dobrushin` of `build_kernel`'s matrix are their references."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        masses=st.sampled_from(["dirichlet", "tied", "tiny"]),
+        extra=st.sampled_from([0.0, 0.3, 0.8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tree_law_matches_squaring(self, n, masses, extra, seed):
+        """Tied masses make hops up and down the mass order weigh the same;
+        tiny ones make hop probabilities span nine orders of magnitude."""
+        labels = [f"v{i}" for i in range(n)]
+        g = random_connected_graph(random.Random(seed), labels, extra)
+        rng = np.random.default_rng(seed)
+        m = rng.dirichlet(np.ones(n))
+        if masses == "tied":
+            m = rng.integers(1, 3, size=n).astype(float)
+        elif masses == "tiny":
+            m[rng.integers(n, size=max(1, n // 3))] = 1e-9
+        target = Distribution(m / m.sum())
+        kernel = build_kernel(target, g)
+        pi, residual = detailed_balance(kernel_level(target, g), target.masses)
+        in_mass_order = pi[[g.index(lab) for lab in kernel.state_labels]]
+        assert np.abs(in_mass_order - stationary_distribution(kernel)).max() <= 1e-12
+        assert residual == balance_residual(kernel, target, g)
+
+    @pytest.mark.parametrize("block", [DOBRUSHIN_BLOCK, 50], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize(
+        "shape, far",
+        [("complete", False), ("star", False), ("cycle4", False), ("path5", True),
+         ("ring60", True)],
+    )
+    def test_graph_rule_matches_dense_bits(self, shape, far, block, monkeypatch):
+        """Diameter 2 or less needs the row overlaps: with a 50-value block
+        they come in several blocks of rows, the last one partial. Diameter
+        3 or more gives exactly 1.0 from the graph alone."""
+        monkeypatch.setattr(chains, "DOBRUSHIN_BLOCK", block)
+        n = {"complete": 8, "star": 9, "cycle4": 4, "path5": 5, "ring60": 60}[shape]
+        labels = [f"v{i}" for i in range(n)]
+        build = {"complete": complete_graph, "star": star_graph, "path5": path_graph}
+        g = build.get(shape, cycle_graph)(labels)
+        for seed in range(5):
+            target = Distribution(np.random.default_rng(seed).dirichlet(np.ones(n)))
+            coefficient = level_dobrushin(kernel_level(target, g))
+            assert coefficient == dobrushin(build_kernel(target, g))
+            assert (coefficient == 1.0) == far
 
 
 class TestSchedule:

@@ -99,6 +99,41 @@ class TestMcmcBuild:
         )
         assert code == 0
 
+    def test_build_json_ignores_the_blas_thread_count(self, tmp_path):
+        """On a 2000-node ring, the dense kernel squared to its stationary
+        law gave `build.json` files that differed between one and two BLAS
+        threads. The law now comes from detailed balance in Python floats."""
+        n = 2000
+        labels = [f"v{i}" for i in range(n)]
+        edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+        (tmp_path / "graph.json").write_text(json.dumps({"nodes": labels, "edges": edges}))
+        masses = np.random.default_rng(7).dirichlet(np.ones(n)).tolist()
+        (tmp_path / "target.json").write_text(json.dumps(dict(zip(labels, masses))))
+        path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        docs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                   "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphgame.cli", "mcmc-build", "graph.json",
+                 "target.json", "--out", str(out)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            docs.append((out / "build.json").read_bytes())
+        assert docs[0] == docs[1]
+        doc = json.loads(docs[0])
+        assert doc["dobrushin"] == 1.0
+        assert doc["stationary_max_error"] <= 1e-15
+        assert doc["balance_max_error"] <= 1e-18
+
+    def test_commands_reach_no_dense_kernel(self):
+        """The dense kernel and the functions that read it are library API
+        only: no command holds an n x n array."""
+        for name in ("build_kernel", "stationary_distribution", "dobrushin"):
+            assert not hasattr(cli, name), name
+
 
 class TestMcmcRun:
     def test_case_iv_converges(self, tmp_path):
@@ -568,7 +603,7 @@ class TestInputErrors:
         def fail(*args):
             raise error("from the kernel")
 
-        monkeypatch.setattr(cli, "build_kernel", fail)
+        monkeypatch.setattr(cli, "kernel_level", fail)
         argv = ["mcmc-build", PATH5_GRAPH, UNIFORM5, "--out", str(tmp_path)]
         assert main(argv) == code
         assert capsys.readouterr().err == "error: from the kernel\n"
@@ -587,7 +622,7 @@ class TestInputErrors:
         def fail(*args):
             raise chains.ChainError("no stationary law")
 
-        monkeypatch.setattr(cli, "stationary_distribution", fail)
+        monkeypatch.setattr(cli, "detailed_balance", fail)
         out = tmp_path / "out"
         assert main(["mcmc-build", PATH5_GRAPH, UNIFORM5, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: no stationary law\n"

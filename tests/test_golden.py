@@ -171,15 +171,15 @@ DIGESTS = {
         "mixed.json": "d9ecbf655a36bdd39c367c5fbdcc4e4aa359e9e611b18417a5e0d0a0e39feacb",
     },
     "mcmc-build-example-smoothed": {
-        "build.json": "7f205540d6c567a7cc556a7fdfc7522682f611fb0466cd52ee9ed5b4321ae241",
+        "build.json": "1a4516a638c181a6f454cc6d20d84fb2cd0d6fec9ce2a96914bd0d0fa5aff378",
         "kernel.csv": "511fdd737370a3ff60fcd0b4a32be93aa62c3f3de4548a75ab259e93c4c812d3",
     },
     "mcmc-build-generated-ring60": {
-        "build.json": "a45f816731e1ea334b1d1afcdbc17b17d3839dda2efb2740372229f4d54e6d7f",
+        "build.json": "2ae7bc09ac26ded75cd4964428efde0cf7e4d47059aefd93b6d4ad212cb94072",
         "kernel.csv": "30f6b2df556f1b5181e2194c1e7a7aef732e73bc1174c1deecd3595b3317ce74",
     },
     "mcmc-build-path5": {
-        "build.json": "dc69a780e0de0697268f11d5a8c00b93023602ab4544b3e2a0cfae9dc01f73a8",
+        "build.json": "19be6939ed69e00076e5af64ce91bfd145e8291c2b12780ed33045715ae591f4",
         "kernel.csv": "80620bbe5e263a3049567074e1909a2ac88a2a5a9bd3c2db34054164da3705d2",
     },
     "mcmc-run-example-counterexample": {

@@ -179,15 +179,6 @@ class KernelLevels:
     cols: np.ndarray  # (n, D)
     values: np.ndarray  # (L, n, D)
 
-    def rows(self, l: int, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of level l's dense kernel, states in mass order;
-        padding adds 0.0 to the diagonal, which leaves it as is."""
-        nodes = self.order[l, start:stop]
-        out = np.zeros((len(nodes), len(self.cols)))
-        at = (np.arange(len(nodes))[:, None], self.position[l, self.cols[nodes]])
-        np.add.at(out, at, self.values[l, nodes])
-        return out
-
 
 class KernelCore:
     """The arithmetic of `build_kernel` for a stack of targets on one
@@ -251,7 +242,7 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
     """
     built = kernel_level(target, g)
     labels = tuple(g.labels[i] for i in built.order[0].tolist())
-    return TransitionKernel(built.rows(0, 0, g.n), labels, float(built.p[0]))
+    return TransitionKernel(_level_rows(built, 0, g.n), labels, float(built.p[0]))
 
 
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
@@ -288,42 +279,45 @@ def _least_overlap(rows: Callable[[int, int], np.ndarray], n: int) -> float:
     )
 
 
-def level_dobrushin(levels: KernelLevels, l: int = 0) -> float:
-    """`dobrushin` of level l's kernel, bit for bit, with no dense matrix.
+def _level_rows(levels: KernelLevels, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of the first level's dense kernel, states in mass
+    order; padding adds 0.0 to the diagonal, which leaves it as is."""
+    nodes = levels.order[0, start:stop]
+    out = np.zeros((len(nodes), len(levels.cols)))
+    at = (np.arange(len(nodes))[:, None], levels.position[0, levels.cols[nodes]])
+    np.add.at(out, at, levels.values[0, nodes])
+    return out
 
-    Rows of states 3 or more hops apart have disjoint supports, so the
-    coefficient is 1.0; a double-sweep breadth-first search (farthest from
-    node 0, then farthest from that) finds such a pair in O(E) on most graphs
-    of diameter 3 or more. Failing that, the overlaps of the dense rows in
-    mass order are summed by `_least_overlap`, as `dobrushin` sums them."""
-    _, src, dst, starts = _arcs(levels.cols)
-    src, dst = src.tolist(), dst.tolist()
-    order, via = _bfs(starts, dst, _bfs(starts, dst, 0)[0][-1])
-    hops, j = 0, order[-1]
-    while via[j] >= 0:
-        hops, j = hops + 1, src[via[j]]
-    if hops >= 3:
+
+def level_dobrushin(g: Graph, levels: KernelLevels) -> float:
+    """`dobrushin` of the kernel of `kernel_level(target, g)`, bit for bit.
+
+    States 3 or more hops apart have rows of disjoint supports, so 1.0; a
+    double-sweep breadth-first search finds such a pair in O(E) on most
+    graphs of diameter 3 or more. Failing that, `_least_overlap` sums the
+    overlaps of blocks of dense rows in mass order, as `dobrushin` does."""
+    order, _, hops = _bfs(g, _bfs(g, 0)[0][-1])
+    if hops[order[-1]] >= 3:
         return 1.0
-    overlap = _least_overlap(lambda start, stop: levels.rows(l, start, stop), len(levels.cols))
-    return float(1.0 - overlap)
+    return float(1.0 - _least_overlap(lambda i, j: _level_rows(levels, i, j), g.n))
 
 
 def detailed_balance(
-    levels: KernelLevels, masses: np.ndarray, l: int = 0
+    g: Graph, levels: KernelLevels, masses: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Level l's stationary law in node order, and the largest residual
-    |mu_i P_ij - mu_j P_ji| of `masses` mu over the arcs.
+    """The law in node order of the kernel of `kernel_level(target, g)`, and
+    the largest residual |mu_i P_ij - mu_j P_ji| of `masses` mu over the arcs.
 
-    A reversible kernel on a connected graph has the law pi_j = pi_i P_ij /
-    P_ji along any spanning tree (Levin, Peres and Wilmer, Markov Chains and
-    Mixing Times, 2nd ed., 1.6); the tree is breadth-first from the heaviest
-    state. Python floats and an exact sum: no BLAS thread count moves a bit."""
-    mask, src, dst, starts = _arcs(levels.cols)
-    n = len(levels.cols)
-    hop = levels.values[l][mask]
-    back = hop[np.searchsorted(src * n + dst, dst * n + src)]  # P_ji of each arc i -> j
+    A reversible kernel's law is pi_j = pi_i P_ij / P_ji along any spanning
+    tree (Levin, Peres and Wilmer, Markov Chains and Mixing Times, 2nd ed.,
+    1.6), here breadth-first from the heaviest state, in Python floats with
+    an exact sum: no BLAS thread count moves a bit."""
+    n, dst = g.n, g.indices
+    src = np.repeat(np.arange(n), np.diff(g.indptr))
+    hop = levels.values[0][levels.cols != np.arange(n)[:, None]]  # P_ij, arcs as in g.indices
+    back = hop[np.argsort(dst * n + src)]  # sorted by (dst, src), the arcs reversed in turn
     residual = float(np.abs(masses[src] * hop - masses[dst] * back).max(initial=0.0))
-    order, via = _bfs(starts, dst.tolist(), int(levels.order[l, 0]))
+    order, via, _ = _bfs(g, int(levels.order[0, 0]))
     src, hop, back = src.tolist(), hop.tolist(), back.tolist()
     pi = [0.0] * n
     pi[order[0]] = 1.0
@@ -333,27 +327,20 @@ def detailed_balance(
     return np.array(pi) / math.fsum(pi), residual
 
 
-def _arcs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The arcs behind padded rows `cols`, by source, then target: the mask
-    of their slots, their sources and targets, and each source's start."""
-    mask = cols != np.arange(len(cols))[:, None]
-    starts = np.concatenate(([0], mask.sum(axis=1).cumsum())).tolist()
-    return mask, np.nonzero(mask)[0], cols[mask], starts
-
-
-def _bfs(starts: list[int], dst: list[int], root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first search from `root` along node i's arcs starts[i] to
-    starts[i + 1] of `dst`, in order: the nodes in visit order, and the arc
-    that reached each (-1 at the root and at nodes never reached)."""
-    via = [-1] * (len(starts) - 1)
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search of g from `root`: the nodes in visit order, the
+    position in `g.indices` of the arc that first reached each (-1 at the
+    root and at nodes never reached), and each node's hops from the root."""
+    starts, dst = g.indptr.tolist(), g.indices.tolist()
+    via, hops = [-1] * g.n, [0] * g.n
     order = [root]
     for i in order:
         for a in range(starts[i], starts[i + 1]):
             j = dst[a]
             if via[j] < 0 and j != root:
-                via[j] = a
+                via[j], hops[j] = a, hops[i] + 1
                 order.append(j)
-    return order, via
+    return order, via, hops
 
 
 def dobrushin_bound(n_states: int, k: int) -> float:

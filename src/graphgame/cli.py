@@ -146,10 +146,10 @@ def cmd_mcmc_build(args) -> int:
     if args.smooth_k is not None:
         target = smooth(target, args.smooth_k).smoothed
     levels = kernel_level(target, g)
-    pi, balance = detailed_balance(levels, target.masses)
+    pi, balance = detailed_balance(g, levels, target.masses)
     build = {
         "p": float(levels.p[0]),
-        "dobrushin": level_dobrushin(levels),
+        "dobrushin": level_dobrushin(g, levels),
         "stationary_max_error": float(np.abs(pi - target.masses).max()),
         "balance_max_error": balance,
         "states": [g.labels[i] for i in levels.order[0].tolist()],

@@ -66,7 +66,8 @@ class Graph:
         self._index = index
         self.edges = np.stack(np.divmod(keys, n), axis=1)
         # a key src * n + dst per direction, sorted: each node's neighbours ascending
-        arcs = np.sort(np.concatenate([keys, self.edges[:, 1] * n + self.edges[:, 0]]))
+        arcs = np.concatenate([keys, self.edges[:, 1] * n + self.edges[:, 0]])
+        arcs = arcs[np.argsort(arcs, kind="stable")]
         self.indices = arcs % n
         self.indptr = np.concatenate([[0], np.bincount(arcs // n, minlength=n).cumsum()])
         for array in (self.edges, self.indices, self.indptr):

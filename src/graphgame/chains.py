@@ -7,7 +7,7 @@ below one half. Targets with zero-mass states are first made strictly
 positive by `smooth`, which mixes in a uniform layer on the low-mass states;
 driving the smoothing level along an increasing time schedule yields the
 nonhomogeneous chains whose empirical distributions converge to the original
-target. `KernelCore` holds the construction's arithmetic for a stack of
+target. `kernel_levels` does the construction's arithmetic for a stack of
 targets on one graph, so every level a schedule visits is built in one batch.
 """
 
@@ -143,7 +143,7 @@ class TransitionKernel:
         n = len(self.state_labels)
         if m.shape != (n, n):
             raise ValueError("matrix shape does not match state labels")
-        _check_rows(m, np.diag(m))
+        _check_rows(m, m.sum(axis=-1), np.diag(m))
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -153,12 +153,12 @@ class TransitionKernel:
         return len(self.state_labels)
 
 
-def _check_rows(m: np.ndarray, diagonal: np.ndarray) -> None:
-    """`TransitionKernel`'s checks on the rows along the last axis of `m`
-    (zeros where a row has no entry), whose diagonal entries are `diagonal`."""
+def _check_rows(m: np.ndarray, sums: np.ndarray, diagonal: np.ndarray) -> None:
+    """`TransitionKernel`'s checks on rows whose entries are all in `m`, whose
+    sums are `sums` and whose diagonal entries are `diagonal`."""
     if not np.isfinite(m).all() or (m < 0).any() or (m > 1 + ROW_SUM_TOL).any():
         raise ValueError("transition probabilities must be finite and in [0, 1]")
-    if (np.abs(m.sum(axis=-1) - 1.0) > ROW_SUM_TOL).any():
+    if (np.abs(sums - 1.0) > ROW_SUM_TOL).any():
         raise ValueError("rows must sum to 1")
     if (diagonal < 0.5 - ROW_SUM_TOL).any():
         raise ValueError("diagonal entries must be at least 1/2")
@@ -166,70 +166,61 @@ def _check_rows(m: np.ndarray, diagonal: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class KernelLevels:
-    """The kernels of L strictly positive targets on one graph, as padded rows
-    in node order. Row i of level l holds node i's entries at the nodes
-    `cols[i]`: its neighbours in ascending order, then i itself (the
-    diagonal), then padding that repeats i with entry 0.0. `order[l]` lists
-    the nodes by decreasing mass (ties by node order), `position[l]` is its
-    inverse, and `p[l]` is the level's hop probability."""
+    """The kernels of L strictly positive targets on one graph, one entry per
+    arc plus a diagonal: `hops[l, a]` is level l's entry from
+    `graph.sources[a]` to `graph.indices[a]`, and `diagonal[l, i]` is node
+    i's own entry. `order[l]` lists the nodes by decreasing mass (ties by
+    node order), `position[l]` is its inverse, and `p[l]` is the level's hop
+    probability."""
 
+    graph: Graph
     order: np.ndarray  # (L, n)
     position: np.ndarray  # (L, n)
     p: np.ndarray  # (L,)
-    cols: np.ndarray  # (n, D)
-    values: np.ndarray  # (L, n, D)
+    hops: np.ndarray  # (L, arcs)
+    diagonal: np.ndarray  # (L, n)
 
 
-class KernelCore:
-    """The arithmetic of `build_kernel` for a stack of targets on one
-    connected graph, with the graph's row layout computed once. The caller
-    vouches for connectivity: `build_kernel` checks it, and a `Realization`
-    builds its core on the graph `chain_case` found connected.
+def _arc_sums(g: Graph, weights: np.ndarray) -> np.ndarray:
+    """The (L, n) sums of the (L, arcs) `weights` over each node's arcs,
+    added by `bincount` in input order: ascending neighbour order."""
+    bins = np.arange(len(weights))[:, None] * g.n + g.sources
+    return np.bincount(bins.ravel(), weights.ravel(), len(weights) * g.n).reshape(-1, g.n)
 
-    Each row's load is summed left to right in ascending neighbour order; a
-    cumulative sum along the padded row axis keeps that order, where `sum`
-    would pair the terms."""
 
-    def __init__(self, g: Graph):
-        self.graph = g
-        degree = np.diff(g.indptr)
-        self._degree = degree
-        cols = np.repeat(np.arange(g.n)[:, None], int(degree.max()) + 1, axis=1)
-        slot = np.arange(cols.shape[1])
-        self._is_neighbor = slot < degree[:, None]
-        cols[self._is_neighbor] = g.indices  # row-major: each row's neighbours ascending
-        self.cols = cols
-
-    def levels(self, masses: np.ndarray) -> KernelLevels:
-        """The kernel of each row of the (L, n) stack `masses`, every level
-        checked as a `TransitionKernel` is."""
-        masses = np.asarray(masses, dtype=float)
-        n = self.graph.n
-        if masses.ndim != 2 or masses.shape[1] != n:
-            raise ValueError("target and graph have different sizes")
-        if (masses <= 0).any():
-            raise NonPositiveTargetError("target must be strictly positive everywhere")
-        cols = self.cols
-        order = np.argsort(-masses, axis=1, kind="stable")
-        position = np.empty_like(order)
-        position[np.arange(len(order))[:, None], order] = np.arange(n)
+def kernel_levels(g: Graph, masses: np.ndarray) -> KernelLevels:
+    """The arithmetic of `build_kernel` for the (L, n) stack of targets
+    `masses` on g, each level checked as a `TransitionKernel` is (an
+    overflowing mass ratio leaves a non-finite entry for the check to
+    report). The caller vouches that g is connected: `build_kernel` checks
+    it, and a `Realization` builds levels on the graph `chain_case` found
+    connected."""
+    masses = np.asarray(masses, dtype=float)
+    n, src, dst = g.n, g.sources, g.indices
+    if masses.ndim != 2 or masses.shape[1] != n:
+        raise ValueError("target and graph have different sizes")
+    if (masses <= 0).any():
+        raise NonPositiveTargetError("target must be strictly positive everywhere")
+    order = np.argsort(-masses, axis=1, kind="stable")
+    position = np.empty_like(order)
+    position[np.arange(len(order))[:, None], order] = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
         # a hop down the mass order weighs 1, a hop up the mass ratio
-        up = self._is_neighbor & (position[:, cols] < position[:, :, None])
-        ratio = np.where(up, masses[:, cols] / masses[:, :, None], self._is_neighbor * 1.0)
-        load = np.cumsum(ratio, axis=2)[:, :, -1]
+        up = position[:, dst] < position[:, src]
+        ratio = np.where(up, masses[:, dst] / masses[:, src], 1.0)
+        load = _arc_sums(g, ratio)
         p = (1.0 / (2.0 * load)).min(axis=1) if n > 1 else np.zeros(len(masses))
-        values = ratio * p[:, None, None]
+        hops = ratio * p[:, None]
         diagonal = 1.0 - p[:, None] * load
-        values[:, np.arange(n), self._degree] = diagonal
-        _check_rows(values, diagonal)
-        return KernelLevels(order, position, p, cols, values)
+        _check_rows(np.hstack([hops, diagonal]), diagonal + _arc_sums(g, hops), diagonal)
+    return KernelLevels(g, order, position, p, hops, diagonal)
 
 
 def kernel_level(target: Distribution, g: Graph) -> KernelLevels:
     """The one level of `target` on g, after checking that g is connected."""
     if len(connected_components(g)) != 1:
         raise NotConnectedError("kernel construction needs a connected graph")
-    return KernelCore(g).levels(target.masses[None, :])
+    return kernel_levels(g, target.masses[None, :])
 
 
 def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
@@ -281,40 +272,44 @@ def _least_overlap(rows: Callable[[int, int], np.ndarray], n: int) -> float:
 
 def _level_rows(levels: KernelLevels, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of the first level's dense kernel, states in mass
-    order; padding adds 0.0 to the diagonal, which leaves it as is."""
+    order."""
+    g, position = levels.graph, levels.position[0]
     nodes = levels.order[0, start:stop]
-    out = np.zeros((len(nodes), len(levels.cols)))
-    at = (np.arange(len(nodes))[:, None], levels.position[0, levels.cols[nodes]])
-    np.add.at(out, at, levels.values[0, nodes])
+    first = g.indptr[nodes]
+    degree = g.indptr[nodes + 1] - first
+    row = np.arange(len(nodes))
+    rows = np.repeat(row, degree)
+    # each row's arcs: the slice first:first + degree of its node
+    arcs = np.arange(rows.size) + np.repeat(first - np.cumsum(degree) + degree, degree)
+    out = np.zeros((len(nodes), g.n))
+    out[rows, position[g.indices[arcs]]] = levels.hops[0, arcs]
+    out[row, start + row] = levels.diagonal[0, nodes]
     return out
 
 
-def level_dobrushin(g: Graph, levels: KernelLevels) -> float:
-    """`dobrushin` of the kernel of `kernel_level(target, g)`, bit for bit.
+def level_dobrushin(levels: KernelLevels) -> float:
+    """`dobrushin` of the first level's dense kernel, bit for bit.
 
     States 3 or more hops apart have rows of disjoint supports, so 1.0; a
     double-sweep breadth-first search finds such a pair in O(E) on most
     graphs of diameter 3 or more. Failing that, `_least_overlap` sums the
     overlaps of blocks of dense rows in mass order, as `dobrushin` does."""
-    order, _, hops = _bfs(g, _bfs(g, 0)[0][-1])
+    order, _, hops = _bfs(levels.graph, _bfs(levels.graph, 0)[0][-1])
     if hops[order[-1]] >= 3:
         return 1.0
-    return float(1.0 - _least_overlap(lambda i, j: _level_rows(levels, i, j), g.n))
+    return float(1.0 - _least_overlap(lambda i, j: _level_rows(levels, i, j), levels.graph.n))
 
 
-def detailed_balance(
-    g: Graph, levels: KernelLevels, masses: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The law in node order of the kernel of `kernel_level(target, g)`, and
+def detailed_balance(levels: KernelLevels, masses: np.ndarray) -> tuple[np.ndarray, float]:
+    """The law in node order of the first level's kernel, and
     the largest residual |mu_i P_ij - mu_j P_ji| of `masses` mu over the arcs.
 
     A reversible kernel's law is pi_j = pi_i P_ij / P_ji along any spanning
     tree (Levin, Peres and Wilmer, Markov Chains and Mixing Times, 2nd ed.,
     1.6), here breadth-first from the heaviest state, in Python floats with
     an exact sum: no BLAS thread count moves a bit."""
-    n, dst = g.n, g.indices
-    src = np.repeat(np.arange(n), np.diff(g.indptr))
-    hop = levels.values[0][levels.cols != np.arange(n)[:, None]]  # P_ij, arcs as in g.indices
+    g = levels.graph
+    n, src, dst, hop = g.n, g.sources, g.indices, levels.hops[0]  # hop: P_ij per arc
     back = hop[np.argsort(dst * n + src)]  # sorted by (dst, src), the arcs reversed in turn
     residual = float(np.abs(masses[src] * hop - masses[dst] * back).max(initial=0.0))
     order, via, _ = _bfs(g, int(levels.order[0, 0]))

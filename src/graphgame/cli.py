@@ -146,15 +146,15 @@ def cmd_mcmc_build(args) -> int:
     if args.smooth_k is not None:
         target = smooth(target, args.smooth_k).smoothed
     levels = kernel_level(target, g)
-    pi, balance = detailed_balance(g, levels, target.masses)
+    pi, balance = detailed_balance(levels, target.masses)
     build = {
         "p": float(levels.p[0]),
-        "dobrushin": level_dobrushin(g, levels),
+        "dobrushin": level_dobrushin(levels),
         "stationary_max_error": float(np.abs(pi - target.masses).max()),
         "balance_max_error": balance,
         "states": [g.labels[i] for i in levels.order[0].tolist()],
     }
-    formats.dump_kernel_csv(levels, g.labels, out / "kernel.csv")
+    formats.dump_kernel_csv(levels, out / "kernel.csv")
     formats.dump_json(build, out / "build.json")
     print(f"kernel -> {out / 'kernel.csv'}")
     return EXIT_OK
@@ -206,8 +206,7 @@ def cmd_mcmc_run(args) -> int:
     formats.dump_trace_csv(trace, out / "trace.csv")
     formats.dump_empirical_csv(trace, out / "empirical.csv")
     formats.dump_series_csv(series, ("t", "tv_to_target"), out / "tv_series.csv")
-    labels = [g.labels[i] for i in realization.nodes]
-    formats.dump_kernel_csv(levels, labels, out / "kernel.csv")
+    formats.dump_kernel_csv(levels, out / "kernel.csv")
     formats.dump_json(summary, out / "summary.json")
     print(
         f"{realization.case.value}: tv_final={tv_final:.4f} "

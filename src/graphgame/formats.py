@@ -202,20 +202,21 @@ def mixed_from_dict(data: dict, game: GGame) -> MixedProfile:
 
 # -- CSV artifacts ----------------------------------------------------------
 
-def dump_kernel_csv(levels: KernelLevels, labels: Sequence[str], path: Path) -> None:
+def dump_kernel_csv(levels: KernelLevels, path: Path) -> None:
     """Level 0 of `levels` as its dense kernel: a header of the states in
     mass order, then one row per state, "0" in every cell but the row's
-    nonzero entries, which `fmt_float` formats. `labels` name the levels'
-    nodes. One row of cells is held at a time."""
-    order, position, values = levels.order[0], levels.position[0], levels.values[0]
-    columns = position[levels.cols]
+    nonzero entries, which `fmt_float` formats. One row is held at a time."""
+    g, order, position = levels.graph, levels.order[0].tolist(), levels.position[0]
+    starts, columns = g.indptr.tolist(), position[g.indices].tolist()
+    hops, diagonal = levels.hops[0].tolist(), levels.diagonal[0].tolist()
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([labels[i] for i in order.tolist()])
-        for node in order.tolist():
-            cells = ["0"] * order.size
-            for col, x in zip(columns[node].tolist(), values[node].tolist()):
-                if x:  # the core writes +0.0 where a row has no entry, never -0.0
-                    cells[col] = fmt_float(x)
+        csv.writer(fh, lineterminator="\n").writerow([g.labels[i] for i in order])
+        for row, node in enumerate(order):
+            cells = ["0"] * len(order)
+            for a in range(starts[node], starts[node + 1]):
+                if hops[a]:  # every hop is 0.0 on a level whose p is
+                    cells[columns[a]] = fmt_float(hops[a])
+            cells[row] = fmt_float(diagonal[node])
             fh.write(",".join(cells) + "\n")
 
 

@@ -211,7 +211,7 @@ def pure_c_equilibria(game: GGame) -> EquilibriumSet:
     g, r = game.graph, game.r
     flat = np.argsort(game._node_of_profile, axis=None, kind="stable")  # node -> profile
     coords = np.unravel_index(flat, game.dims)
-    src, dst = np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices
+    src, dst = g.sources, g.indices
     gains = np.empty((len(dst), r))
     for h in range(r):
         own = game.payoffs[h].ravel()

@@ -34,9 +34,11 @@ class NotDecomposableError(GraphError):
 class Graph:
     """Immutable undirected simple graph over ordered, labeled nodes: `edges`
     holds the sorted index pairs (i, j), i < j, and the neighbours of i,
-    ascending, are `indices[indptr[i]:indptr[i + 1]]` (compressed sparse rows)."""
+    ascending, are `indices[indptr[i]:indptr[i + 1]]` (compressed sparse rows);
+    arc a runs from `sources[a]` to `indices[a]`."""
 
-    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "_arcs", "_neighbors")
+    __slots__ = ("labels", "_index", "edges", "indptr", "indices", "sources", "_arcs",
+                 "_neighbors")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         labels = tuple(nodes)
@@ -69,8 +71,9 @@ class Graph:
         arcs = np.concatenate([keys, self.edges[:, 1] * n + self.edges[:, 0]])
         arcs = arcs[np.argsort(arcs, kind="stable")]
         self.indices = arcs % n
-        self.indptr = np.concatenate([[0], np.bincount(arcs // n, minlength=n).cumsum()])
-        for array in (self.edges, self.indices, self.indptr):
+        self.sources = arcs // n
+        self.indptr = np.concatenate([[0], np.bincount(self.sources, minlength=n).cumsum()])
+        for array in (self.edges, self.indices, self.sources, self.indptr):
             array.setflags(write=False)
         self._arcs = self._neighbors = None
 
@@ -103,8 +106,7 @@ class Graph:
         n = self.n
         if self._arcs is None:
             # a sentinel key n * n past every arc, so no graph has an empty key array
-            starts = np.repeat(np.arange(n), np.diff(self.indptr))
-            self._arcs = np.append(starts * n + self.indices, n * n)
+            self._arcs = np.append(self.sources * n + self.indices, n * n)
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         allowed = src == dst
         moves = ~allowed

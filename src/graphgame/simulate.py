@@ -14,20 +14,20 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .chains import (
     CaseLabel,
-    KernelCore,
     KernelLevels,
     Schedule,
     SupportSplitError,
     TransitionKernel,
     _smoothed_masses,
     chain_case,
+    kernel_levels,
 )
 from .graphs import Graph, joint_labels
 from .mixed import Distribution
@@ -123,24 +123,23 @@ def draw_index(cum: list[float], u: float) -> int:
     return bisect_right(cum, u)
 
 
-def _table_rows(values: np.ndarray, succ: np.ndarray) -> tuple[list, list]:
-    """The bisection rows of padded transition rows. Each row of `values`
-    holds its entries in column order, with exact zeros where it has none,
-    and `succ` names each entry's successor. A row keeps only its nonzero
-    entries, each with the running sum of the whole row up to it, so a
-    uniform picks the same successor as a bisection over the full row; the
-    rounding guard 1.0 sits on the last kept entry."""
+def _table_rows(rows: np.ndarray, values: np.ndarray, succ: np.ndarray) -> tuple[list, list]:
+    """The bisection rows of flat entries, entry e in row rows[e] with
+    successor succ[e]; rows ascend, each in column order with a nonzero
+    entry. A row keeps its nonzero entries with their running sums, which a
+    zero (+0.0) would not change, and the rounding guard 1.0 on the last."""
     keep = values != 0
-    cum = np.cumsum(values, axis=1)[keep]
-    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    cum[np.array(ends) - 1] = 1.0  # guard against rounding so a draw can never overflow
-    cum, kept = cum.tolist(), succ[keep].tolist()
-    bounds = list(zip([0, *ends[:-1]], ends))
+    starts = np.flatnonzero(np.diff(rows[keep], prepend=-1)).tolist()
+    cum, kept = values[keep].tolist(), succ[keep].tolist()
+    bounds = list(zip(starts, [*starts[1:], len(kept)]))
+    for a, b in bounds:  # in place, so each float is held once
+        cum[a : b - 1] = accumulate(cum[a : b - 1])
+        cum[b - 1] = 1.0  # guard against rounding so a draw can never overflow
     return [cum[a:b] for a, b in bounds], [kept[a:b] for a, b in bounds]
 
 
 _BLOCK = 1 << 16  # uniforms drawn per block, which bounds a run's memory
-# padded kernel entries in one batch of levels (2 MB per array)
+# kernel entries, arcs plus diagonals, in one batch of levels (2 MB per array)
 LEVEL_BLOCK = 1 << 18
 
 
@@ -187,14 +186,16 @@ class TransitionTable:
         cls, levels: KernelLevels, nodes: Sequence[int], size: int
     ) -> list["TransitionTable"]:
         """One table over `size` states per level, the levels' graph node i
-        at state nodes[i]. Each padded row is put in column (mass) order
-        first, as the dense kernel holds it."""
-        count, n, width = levels.values.shape
-        perm = np.argsort(levels.position[:, levels.cols], axis=2, kind="stable")
-        values = np.take_along_axis(levels.values, perm, axis=2)
-        succ = np.asarray(nodes, dtype=np.intp)[levels.cols]
-        succ = np.take_along_axis(np.broadcast_to(succ, perm.shape), perm, axis=2)
-        cum, succ = _table_rows(values.reshape(-1, width), succ.reshape(-1, width))
+        at state nodes[i]. One sort puts each row's arcs and its diagonal in
+        column (mass) order, as the dense kernel holds them."""
+        g, (count, n) = levels.graph, levels.diagonal.shape
+        src = np.concatenate([g.sources, np.arange(n)])  # each entry's row
+        dst = np.concatenate([g.indices, np.arange(n)])  # and its column node
+        rows = (np.arange(count)[:, None] * n + src).ravel()
+        perm = np.lexsort((levels.position[:, dst].ravel(), rows))
+        values = np.hstack([levels.hops, levels.diagonal]).ravel()[perm]
+        succ = np.asarray(nodes, dtype=np.intp)[dst][perm % dst.size]
+        cum, succ = _table_rows(rows[perm], values, succ)
         return [
             cls._indexed(nodes, cum[l * n : (l + 1) * n], succ[l * n : (l + 1) * n], size)
             for l in range(count)
@@ -257,7 +258,7 @@ class Realization:
         self.nodes = tuple(graph.index(lab) for lab in chain_graph.labels)
         self._members = frozenset(self.nodes)
         self._masses = target.masses[list(self.nodes)]
-        self._core = KernelCore(chain_graph)
+        self._chain_graph = chain_graph
         self._tables: dict[int, TransitionTable] = {}
 
     def __contains__(self, node: int) -> bool:
@@ -285,17 +286,18 @@ class Realization:
         first kernel, and a point mass to its level-0 kernel."""
         first = 0 if self.schedule is None else self.schedule.first_time
         ((_, level),) = self._runs(max(t, first), 1)
-        return self._core.levels(self._level_masses([level or 0]))
+        return kernel_levels(self._chain_graph, self._level_masses([level or 0]))
 
     def _build_tables(self, levels: list[int | None]) -> None:
         """Tabulate every level in `levels` not tabulated yet (None is a
-        hold), in batches of at most LEVEL_BLOCK padded entries (one level
-        when a level exceeds it)."""
+        hold), in batches of at most LEVEL_BLOCK entries (one level when a
+        level exceeds it)."""
         missing = [l for l in dict.fromkeys(levels) if l is not None and l not in self._tables]
-        step = max(1, LEVEL_BLOCK // self._core.cols.size)
+        g = self._chain_graph
+        step = max(1, LEVEL_BLOCK // (g.n + g.indices.size))
         for i in range(0, len(missing), step):
             batch = missing[i : i + step]
-            built = self._core.levels(self._level_masses(batch))
+            built = kernel_levels(g, self._level_masses(batch))
             self._tables.update(
                 zip(batch, TransitionTable.from_levels(built, self.nodes, self.graph.n))
             )
@@ -333,7 +335,8 @@ def run_homogeneous(
     stream = make_stream(seed)
     states = np.empty(steps, dtype=np.int64)
     start = draw_index(cumulative_row(init.masses), stream.next())
-    cum, succ = _table_rows(kernel.matrix, np.broadcast_to(np.arange(kernel.n), (kernel.n,) * 2))
+    rows, cols = np.indices(kernel.matrix.shape).reshape(2, -1)
+    cum, succ = _table_rows(rows, kernel.matrix.ravel(), cols)
     TransitionTable(cum, succ).run(start, steps, stream, states)
     counts = np.bincount(states, minlength=kernel.n)
     return Trace(states, kernel.state_labels, seed, counts)

@@ -92,12 +92,12 @@ def game_to_dict(game: GGame) -> dict:
 
 def level_kernel(levels: KernelLevels, labels: Sequence[str]) -> TransitionKernel:
     """Level 0 of `levels` as the dense kernel `build_kernel` returns, the
-    levels' nodes named by `labels`. Entries are added into a zero matrix:
-    a padding entry adds 0.0 to its row's diagonal, which leaves it as is."""
-    order, position = levels.order[0], levels.position[0]
+    levels' nodes named by `labels`. Each arc and each diagonal entry is
+    assigned to its own cell of a zero matrix."""
+    g, order, position = levels.graph, levels.order[0], levels.position[0]
     matrix = np.zeros((order.size, order.size))
-    rows = np.broadcast_to(position[:, None], levels.cols.shape)
-    np.add.at(matrix, (rows, position[levels.cols]), levels.values[0])
+    matrix[position[g.sources], position[g.indices]] = levels.hops[0]
+    matrix[position, position] = levels.diagonal[0]
     return TransitionKernel(matrix, tuple(labels[i] for i in order.tolist()), float(levels.p[0]))
 
 
@@ -105,7 +105,8 @@ def kernel_table(kernel: TransitionKernel, labels: Sequence[str]) -> TransitionT
     """The table of `kernel`'s rows, state i being labels[i]."""
     index = {lab: i for i, lab in enumerate(labels)}
     node_of_pos = np.array([index[lab] for lab in kernel.state_labels], dtype=np.intp)
-    cum, succ = _table_rows(kernel.matrix, np.broadcast_to(node_of_pos, kernel.matrix.shape))
+    rows, cols = np.indices(kernel.matrix.shape).reshape(2, -1)
+    cum, succ = _table_rows(rows, kernel.matrix.ravel(), node_of_pos[cols])
     return TransitionTable._indexed(node_of_pos.tolist(), cum, succ, len(labels))
 
 

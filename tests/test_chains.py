@@ -368,7 +368,7 @@ class TestStationary:
 
 class TestLevelReadings:
     """`detailed_balance` and `level_dobrushin` read a level's law and
-    coefficient off its padded rows; the dense `stationary_distribution` and
+    coefficient off its arcs and diagonal; the dense `stationary_distribution` and
     `dobrushin` of `build_kernel`'s matrix are their references."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -391,7 +391,7 @@ class TestLevelReadings:
             m[rng.integers(n, size=max(1, n // 3))] = 1e-9
         target = Distribution(m / m.sum())
         kernel = build_kernel(target, g)
-        pi, residual = detailed_balance(g, kernel_level(target, g), target.masses)
+        pi, residual = detailed_balance(kernel_level(target, g), target.masses)
         in_mass_order = pi[[g.index(lab) for lab in kernel.state_labels]]
         assert np.abs(in_mass_order - stationary_distribution(kernel)).max() <= 1e-12
         assert residual == balance_residual(kernel, target, g)
@@ -413,7 +413,7 @@ class TestLevelReadings:
         g = build.get(shape, cycle_graph)(labels)
         for seed in range(5):
             target = Distribution(np.random.default_rng(seed).dirichlet(np.ones(n)))
-            coefficient = level_dobrushin(g, kernel_level(target, g))
+            coefficient = level_dobrushin(kernel_level(target, g))
             assert coefficient == dobrushin(build_kernel(target, g))
             assert (coefficient == 1.0) == far
 

@@ -308,15 +308,24 @@ class TestMcmcRun:
         main(args + ["--out", str(out2)])
         assert tree_bytes(out1) == tree_bytes(out2)
 
-    @pytest.mark.parametrize("atoms", [None, (0, 1000, 2000)], ids=["uniform", "smoothed"])
-    def test_ring_memory_is_bounded(self, tmp_path, atoms):
+    @pytest.mark.parametrize(
+        "shape, atoms",
+        [("ring", None), ("ring", (0, 1000, 2000)), ("star", None), ("star", (1, 1000, 1999))],
+        ids=["uniform", "smoothed", "star-uniform", "star-smoothed"],
+    )
+    def test_ring_memory_is_bounded(self, tmp_path, shape, atoms):
         """On a 4000-node ring the run writes a 32 MB `kernel.csv` from the
-        padded rows of one level, one row at a time; a dense 4000 x 4000
-        kernel alone takes 128 MB. With three pairwise non-adjacent atoms
-        the target is smoothed."""
-        n = 4000
+        arcs of one level, one row at a time; a dense 4000 x 4000 kernel
+        alone takes 128 MB. A 2000-node star with hub v0 has one node of
+        degree 1999, and memory still follows its arcs, not n times the
+        largest degree. With three pairwise non-adjacent atoms the target is
+        smoothed."""
+        n = 4000 if shape == "ring" else 2000
         labels = [f"v{i}" for i in range(n)]
-        edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+        if shape == "ring":
+            edges = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+        else:
+            edges = [[labels[0], leaf] for leaf in labels[1:]]
         nodes = labels if atoms is None else [labels[i] for i in atoms]
         (tmp_path / "graph.json").write_text(json.dumps({"nodes": labels, "edges": edges}))
         (tmp_path / "target.json").write_text(json.dumps({v: 1 / len(nodes) for v in nodes}))
@@ -518,6 +527,11 @@ INPUT_ERRORS = {
         '{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}',
     ),
     "empty-low-set": (["mcmc-build", PATH5_GRAPH, UNIFORM5, "--smooth-k", "5"], None),
+    # the mass ratio 1 / 5e-324 overflows to inf
+    "overflowing-mass-ratio": (
+        ["mcmc-build", PATH5_GRAPH, "{target}"],
+        '{"a": 1.0, "b": 5e-324, "c": 5e-324, "d": 5e-324, "e": 5e-324}',
+    ),
     "smooth-k-beyond-float": (
         ["mcmc-build", PATH5_GRAPH, "{target}", "--smooth-k", "1" + "0" * 400],
         '{"a": 0.5, "c": 0.5}',

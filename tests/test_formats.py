@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from graphgame.chains import KernelCore, build_kernel, smooth
+from graphgame.chains import build_kernel, kernel_levels, smooth
 from graphgame.formats import (
     _TRACE_ROWS,
     FormatError,
@@ -226,8 +226,8 @@ class TestCsvFormats:
         target = Distribution(np.array([0.3, 0.2, 0.5]))
         g = path_graph(["a", "b", "c"])
         kernel = build_kernel(target, g)
-        levels = KernelCore(g).levels(target.masses[None, :])
-        dump_kernel_csv(levels, g.labels, tmp_path / "k.csv")
+        levels = kernel_levels(g, target.masses[None, :])
+        dump_kernel_csv(levels, tmp_path / "k.csv")
         with open(tmp_path / "k.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert tuple(header) == kernel.state_labels
@@ -300,8 +300,8 @@ class TestCsvFormats:
         else:
             masses[tiny] = TINY_MASS
             target = Distribution(masses)
-        levels = KernelCore(g).levels(target.masses[None, :])
-        dump_kernel_csv(levels, g.labels, tmp_path / "rows.csv")
+        levels = kernel_levels(g, target.masses[None, :])
+        dump_kernel_csv(levels, tmp_path / "rows.csv")
         cell_writer_kernel_csv(build_kernel(target, g), tmp_path / "cells.csv")
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from graphgame import simulate
 from graphgame.chains import (
     CaseLabel,
-    KernelCore,
     Schedule,
     TransitionKernel,
     build_kernel,
     chain_case,
+    kernel_levels,
     smooth,
 )
 from graphgame.graphs import Graph, induced_subgraph
@@ -110,7 +110,7 @@ class TestKernelCore:
         stack = draws.random((count, n)) ** draws.integers(1, 40) + 1e-12
         stack[:, : n // 3] = stack[:, :1]
         stack /= stack.sum(axis=1, keepdims=True)
-        levels = KernelCore(g).levels(stack)
+        levels = kernel_levels(g, stack)
         tables = TransitionTable.from_levels(levels, range(n), n)
         for row, table in zip(stack, tables):
             target = Distribution(row)
@@ -133,7 +133,7 @@ class TestKernelCore:
         stack = np.array([[0.5, tiny, 0.5 - tiny] for tiny in (1e-300, 1e-308)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            tables = TransitionTable.from_levels(KernelCore(g).levels(stack), range(3), 3)
+            tables = TransitionTable.from_levels(kernel_levels(g, stack), range(3), 3)
             references = [loop_table(loop_kernel(Distribution(m), g), labels) for m in stack]
         for table, reference in zip(tables, references):
             assert (table.cum, table.succ) == reference
@@ -185,22 +185,24 @@ class TestSmoothingLevels:
             mu = Distribution(masses)
         realization = Realization(mu, g, Schedule.power_gap())
         sizes = []
-        levels = KernelCore.levels
+        levels = simulate.kernel_levels
 
-        def counted(core, masses):
+        def counted(graph, masses):
             sizes.append(len(masses))
-            return levels(core, masses)
+            return levels(graph, masses)
 
         with mock.patch.object(simulate, "LEVEL_BLOCK", block):
-            with mock.patch.object(KernelCore, "levels", counted):
+            with mock.patch.object(simulate, "kernel_levels", counted):
                 realization._build_tables(ks)
         unique = list(dict.fromkeys(ks))
-        step = max(1, block // realization._core.cols.size)
+        chain_graph = realization._chain_graph
+        step = max(1, block // (chain_graph.n + chain_graph.indices.size))
         assert sizes == [min(step, len(unique) - i) for i in range(0, len(unique), step)]
         # the component's graph, built independently of the realization
         component = induced_subgraph(g, labels) if rest else g
-        # every load is summed in the neighbour order of the `cols` layout
-        assert np.array_equal(realization._core.cols, KernelCore(component).cols)
+        # every load is summed in the neighbour order of the CSR arrays
+        assert np.array_equal(chain_graph.indptr, component.indptr)
+        assert np.array_equal(chain_graph.indices, component.indices)
         restricted = Distribution(mu.masses[[g.index(lab) for lab in component.labels]])
         for k in unique:
             table = realization._tables[k]
@@ -216,14 +218,14 @@ class TestSmoothingLevels:
         mu = Distribution(np.array([0.5, 0.5, 0.0, 0.0]))
         realization = Realization(mu, example_graph, Schedule.counterexample())
         calls = []
-        levels = KernelCore.levels
+        levels = simulate.kernel_levels
 
-        def counted(core, masses):
+        def counted(graph, masses):
             calls.append(len(masses))
-            return levels(core, masses)
+            return levels(graph, masses)
 
         out = np.empty(200, dtype=np.int64)
-        with mock.patch.object(KernelCore, "levels", counted):
+        with mock.patch.object(simulate, "kernel_levels", counted):
             realization.run(1, out.size, make_stream(4), out)
             realization.run(1, out.size, make_stream(5), out)
         assert calls == [50]

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphgame import simulate
 from graphgame.chains import (
-    KernelCore,
     Schedule,
     SupportSplitError,
     TransitionKernel,
@@ -312,13 +312,13 @@ class TestRealization:
 
     def test_construction_builds_no_kernel(self, example_graph):
         calls = []
-        levels = KernelCore.levels
+        levels = simulate.kernel_levels
 
-        def counted(core, masses):
+        def counted(g, masses):
             calls.append(len(masses))
-            return levels(core, masses)
+            return levels(g, masses)
 
-        with mock.patch.object(KernelCore, "levels", counted):
+        with mock.patch.object(simulate, "kernel_levels", counted):
             for mu in (dist(0, 0, 1, 0), dist(0.5, 0, 0.5, 0), dist(0.5, 0.5, 0, 0)):
                 Realization(mu, example_graph, Schedule.power_gap())
             ConstantPolicy(example_graph, 2)

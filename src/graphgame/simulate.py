@@ -123,15 +123,15 @@ def draw_index(cum: list[float], u: float) -> int:
     return bisect_right(cum, u)
 
 
-def _table_rows(rows: np.ndarray, values: np.ndarray, succ: np.ndarray) -> tuple[list, list]:
-    """The bisection rows of flat entries, entry e in row rows[e] with
-    successor succ[e]; rows ascend, each in column order with a nonzero
-    entry. A row keeps its nonzero entries with their running sums, which a
-    zero (+0.0) would not change, and the rounding guard 1.0 on the last."""
+def _table_rows(sizes: np.ndarray, values: np.ndarray, succ: np.ndarray) -> tuple[list, list]:
+    """The bisection rows of flat entries with successors `succ`: row r is
+    the next sizes[r] entries, in column order, with a nonzero one. A row
+    keeps its nonzero entries with their running sums, which a zero (+0.0)
+    would not change, and the rounding guard 1.0 on the last."""
     keep = values != 0
-    starts = np.flatnonzero(np.diff(rows[keep], prepend=-1)).tolist()
+    ends = np.cumsum(keep)[np.cumsum(sizes) - 1].tolist()
     cum, kept = values[keep].tolist(), succ[keep].tolist()
-    bounds = list(zip(starts, [*starts[1:], len(kept)]))
+    bounds = list(zip([0, *ends[:-1]], ends))
     for a, b in bounds:  # in place, so each float is held once
         cum[a : b - 1] = accumulate(cum[a : b - 1])
         cum[b - 1] = 1.0  # guard against rounding so a draw can never overflow
@@ -191,11 +191,11 @@ class TransitionTable:
         g, (count, n) = levels.graph, levels.diagonal.shape
         src = np.concatenate([g.sources, np.arange(n)])  # each entry's row
         dst = np.concatenate([g.indices, np.arange(n)])  # and its column node
-        rows = (np.arange(count)[:, None] * n + src).ravel()
-        perm = np.lexsort((levels.position[:, dst].ravel(), rows))
-        values = np.hstack([levels.hops, levels.diagonal]).ravel()[perm]
-        succ = np.asarray(nodes, dtype=np.intp)[dst][perm % dst.size]
-        cum, succ = _table_rows(rows[perm], values, succ)
+        perm = np.lexsort((levels.position[:, dst], np.broadcast_to(src, (count, src.size))))
+        values = np.take_along_axis(np.hstack([levels.hops, levels.diagonal]), perm, axis=1)
+        succ = np.asarray(nodes, dtype=np.intp)[dst][perm]
+        sizes = np.tile(np.diff(g.indptr) + 1, count)
+        cum, succ = _table_rows(sizes, values.ravel(), succ.ravel())
         return [
             cls._indexed(nodes, cum[l * n : (l + 1) * n], succ[l * n : (l + 1) * n], size)
             for l in range(count)
@@ -335,8 +335,8 @@ def run_homogeneous(
     stream = make_stream(seed)
     states = np.empty(steps, dtype=np.int64)
     start = draw_index(cumulative_row(init.masses), stream.next())
-    rows, cols = np.indices(kernel.matrix.shape).reshape(2, -1)
-    cum, succ = _table_rows(rows, kernel.matrix.ravel(), cols)
+    cols = np.tile(np.arange(kernel.n), kernel.n)
+    cum, succ = _table_rows(np.full(kernel.n, kernel.n), kernel.matrix.ravel(), cols)
     TransitionTable(cum, succ).run(start, steps, stream, states)
     counts = np.bincount(states, minlength=kernel.n)
     return Trace(states, kernel.state_labels, seed, counts)

@@ -105,8 +105,8 @@ def kernel_table(kernel: TransitionKernel, labels: Sequence[str]) -> TransitionT
     """The table of `kernel`'s rows, state i being labels[i]."""
     index = {lab: i for i, lab in enumerate(labels)}
     node_of_pos = np.array([index[lab] for lab in kernel.state_labels], dtype=np.intp)
-    rows, cols = np.indices(kernel.matrix.shape).reshape(2, -1)
-    cum, succ = _table_rows(rows, kernel.matrix.ravel(), node_of_pos[cols])
+    n = kernel.n
+    cum, succ = _table_rows(np.full(n, n), kernel.matrix.ravel(), np.tile(node_of_pos, n))
     return TransitionTable._indexed(node_of_pos.tolist(), cum, succ, len(labels))
 
 

@@ -207,15 +207,16 @@ def dump_kernel_csv(levels: KernelLevels, path: Path) -> None:
     mass order, then one row per state, "0" in every cell but the row's
     nonzero entries, which `fmt_float` formats. One row is held at a time."""
     g, order, position = levels.graph, levels.order[0].tolist(), levels.position[0]
-    starts, columns = g.indptr.tolist(), position[g.indices].tolist()
-    hops, diagonal = levels.hops[0].tolist(), levels.diagonal[0].tolist()
+    starts, columns, hops = g.indptr.tolist(), position[g.indices], levels.hops[0]
+    diagonal = levels.diagonal[0].tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow([g.labels[i] for i in order])
         for row, node in enumerate(order):
             cells = ["0"] * len(order)
-            for a in range(starts[node], starts[node + 1]):
-                if hops[a]:  # every hop is 0.0 on a level whose p is
-                    cells[columns[a]] = fmt_float(hops[a])
+            arcs = slice(starts[node], starts[node + 1])
+            for col, x in zip(columns[arcs].tolist(), hops[arcs].tolist()):
+                if x:  # 0.0 only on a level whose p is 0.0
+                    cells[col] = fmt_float(x)
             cells[row] = fmt_float(diagonal[node])
             fh.write(",".join(cells) + "\n")
 

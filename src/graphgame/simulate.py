@@ -293,11 +293,10 @@ class Realization:
         hold), in batches of at most LEVEL_BLOCK entries (one level when a
         level exceeds it)."""
         missing = [l for l in dict.fromkeys(levels) if l is not None and l not in self._tables]
-        g = self._chain_graph
-        step = max(1, LEVEL_BLOCK // (g.n + g.indices.size))
+        step = max(1, LEVEL_BLOCK // (len(self.nodes) + self._chain_graph.indices.size))
         for i in range(0, len(missing), step):
             batch = missing[i : i + step]
-            built = kernel_levels(g, self._level_masses(batch))
+            built = kernel_levels(self._chain_graph, self._level_masses(batch))
             self._tables.update(
                 zip(batch, TransitionTable.from_levels(built, self.nodes, self.graph.n))
             )

@@ -160,6 +160,7 @@ class TestEdgeArrays:
             g.indices[g.indptr[i] : g.indptr[i + 1]].tolist() == sorted(neighbors[i])
             for i in range(n)
         )
+        assert g.sources.tolist() == [i for i in range(n) for _ in neighbors[i]]
         reversed_graph = Graph(labels, reversed(edges))
         assert g == reversed_graph and hash(g) == hash(reversed_graph)
 

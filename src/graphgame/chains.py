@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, connected_components, induced_subgraph
+from .graphs import Graph, bfs, induced_subgraph
 from .mixed import Distribution
 
 ROW_SUM_TOL = 1e-12
@@ -70,16 +70,16 @@ def chain_case(g: Graph, mu: Distribution) -> tuple[CaseLabel, Graph | None]:
     support; None when the support is split."""
     if mu.n != g.n:
         raise ValueError("distribution and graph have different sizes")
-    support = [g.labels[i] for i in mu.support()]
-    restricted = induced_subgraph(g, support)
+    support = mu.support()
+    restricted = induced_subgraph(g, [g.labels[i] for i in support])
     if len(support) == 1:
         return CaseLabel.POINT_MASS, restricted
-    if len(connected_components(restricted)) == 1:
+    if len(bfs(restricted, [0])[0]) == len(support):
         return CaseLabel.SUPPORT_CONNECTED, restricted
-    for comp in connected_components(g):
-        if comp.issuperset(support):
-            return CaseLabel.SUPPORT_IN_COMPONENT, induced_subgraph(g, comp)
-    return CaseLabel.SUPPORT_SPLIT, None
+    component, _, hops = bfs(g, support[:1])
+    if min(hops[i] for i in support) < 0:
+        return CaseLabel.SUPPORT_SPLIT, None
+    return CaseLabel.SUPPORT_IN_COMPONENT, induced_subgraph(g, [g.labels[i] for i in component])
 
 
 def min_valid_k(mu: Distribution) -> int:
@@ -218,7 +218,7 @@ def kernel_levels(g: Graph, masses: np.ndarray) -> KernelLevels:
 
 def kernel_level(target: Distribution, g: Graph) -> KernelLevels:
     """The one level of `target` on g, after checking that g is connected."""
-    if len(connected_components(g)) != 1:
+    if not g.n or len(bfs(g, [0])[0]) < g.n:
         raise NotConnectedError("kernel construction needs a connected graph")
     return kernel_levels(g, target.masses[None, :])
 
@@ -294,7 +294,7 @@ def level_dobrushin(levels: KernelLevels) -> float:
     double-sweep breadth-first search finds such a pair in O(E) on most
     graphs of diameter 3 or more. Failing that, `_least_overlap` sums the
     overlaps of blocks of dense rows in mass order, as `dobrushin` does."""
-    order, _, hops = _bfs(levels.graph, _bfs(levels.graph, 0)[0][-1])
+    order, _, hops = bfs(levels.graph, bfs(levels.graph, [0])[0][-1:])
     if hops[order[-1]] >= 3:
         return 1.0
     return float(1.0 - _least_overlap(lambda i, j: _level_rows(levels, i, j), levels.graph.n))
@@ -312,7 +312,7 @@ def detailed_balance(levels: KernelLevels, masses: np.ndarray) -> tuple[np.ndarr
     n, src, dst, hop = g.n, g.sources, g.indices, levels.hops[0]  # hop: P_ij per arc
     back = hop[np.argsort(dst * n + src)]  # sorted by (dst, src), the arcs reversed in turn
     residual = float(np.abs(masses[src] * hop - masses[dst] * back).max(initial=0.0))
-    order, via, _ = _bfs(g, int(levels.order[0, 0]))
+    order, via, _ = bfs(g, [int(levels.order[0, 0])])
     src, hop, back = src.tolist(), hop.tolist(), back.tolist()
     pi = [0.0] * n
     pi[order[0]] = 1.0
@@ -320,22 +320,6 @@ def detailed_balance(levels: KernelLevels, masses: np.ndarray) -> tuple[np.ndarr
         a = via[j]  # the tree arc i -> j
         pi[j] = pi[src[a]] * hop[a] / back[a]
     return np.array(pi) / math.fsum(pi), residual
-
-
-def _bfs(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first search of g from `root`: the nodes in visit order, the
-    position in `g.indices` of the arc that first reached each (-1 at the
-    root and at nodes never reached), and each node's hops from the root."""
-    starts, dst = g.indptr.tolist(), g.indices.tolist()
-    via, hops = [-1] * g.n, [0] * g.n
-    order = [root]
-    for i in order:
-        for a in range(starts[i], starts[i + 1]):
-            j = dst[a]
-            if via[j] < 0 and j != root:
-                via[j], hops[j] = a, hops[i] + 1
-                order.append(j)
-    return order, via, hops
 
 
 def dobrushin_bound(n_states: int, k: int) -> float:

@@ -247,8 +247,8 @@ def dump_trace_csv(trace: Trace, path: Path) -> None:
     joint trace, one label per component read from the component traces.
 
     The bytes are those a row-by-row csv.writer writes: the text after `t`
-    is quoted once per state (per joint index, row-major over the component
-    labels). Rows are written in blocks of `_TRACE_ROWS`, each joined in C
+    is quoted once per state, and a joint trace's states are its joint
+    indices, row-major over the component labels. Rows are written in blocks of `_TRACE_ROWS`, each joined in C
     from three existing strings per row: `t // 1000` in decimal (empty while
     t < 1000), `t % 1000` (zero-padded to three digits once t >= 1000) and
     the state's tail. No Python code runs per row.
@@ -260,12 +260,10 @@ def dump_trace_csv(trace: Trace, path: Path) -> None:
         names = [f"state_{coalition_name(h)}" for h in range(len(parts))]
     cells = [_csv_cells(part.state_labels) for part in parts]
     tails = ["," + ",".join(combo) + "\n" for combo in product(*cells)]
-    dims = [len(part.state_labels) for part in parts]
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["t"] + names)
         for start in range(0, trace.length, _TRACE_ROWS):
-            columns = [part.states[start : start + _TRACE_ROWS] for part in parts]
-            block = np.ravel_multi_index(columns, dims).tolist()
+            block = trace.states[start : start + _TRACE_ROWS].tolist()
             high = start // _TRACE_ROWS
             pieces = [str(high) if high else ""] * (3 * len(block))
             pieces[1::3] = _LOW_DIGITS[: len(block)] if high else map(str, range(len(block)))

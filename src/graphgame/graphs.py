@@ -159,6 +159,26 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
     return out
 
 
+def bfs(g: Graph, roots: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search of g from the nodes `roots` at once, each node's
+    neighbours in ascending order: the nodes in visit order (the roots
+    first), the position in `g.indices` of the arc that first reached each
+    (-1 at a root and at nodes never reached), and each node's hops from the
+    nearest root (-1 where no root reaches it)."""
+    starts, dst = g.indptr.tolist(), g.indices.tolist()
+    via, hops = [-1] * g.n, [-1] * g.n
+    order = list(roots)
+    for root in order:
+        hops[root] = 0
+    for i in order:
+        for a in range(starts[i], starts[i + 1]):
+            j = dst[a]
+            if hops[j] < 0:
+                via[j], hops[j] = a, hops[i] + 1
+                order.append(j)
+    return order, via, hops
+
+
 def induced_subgraph(g: Graph, members: Iterable[str]) -> Graph:
     """Subgraph on `members` keeping exactly the edges of g inside it: g
     itself when every node is kept."""

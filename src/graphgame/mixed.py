@@ -125,13 +125,19 @@ def payoff_vector(game: GGame, profile: MixedProfile, coalition: int) -> np.ndar
     """Expected payoff of `coalition` for each of its pure strategies, holding
     the other coalitions at their profile distributions."""
     _check_shapes(game, profile)
+    return _payoff_vector(game, [part.masses for part in profile.parts], coalition)
+
+
+def _payoff_vector(game: GGame, masses: list[np.ndarray], coalition: int) -> np.ndarray:
+    """`payoff_vector` against the per-coalition mass vectors `masses`,
+    which the caller vouches match the game's spaces."""
     t = game.payoffs[coalition]
     # contracting in descending axis order keeps each original axis at its
     # own position until it is consumed
     for h in range(game.r - 1, -1, -1):
         if h == coalition:
             continue
-        t = np.tensordot(t, profile.parts[h].masses, axes=(h, 0))
+        t = np.tensordot(t, masses[h], axes=(h, 0))
     return np.asarray(t, dtype=float).reshape(-1)
 
 
@@ -354,10 +360,7 @@ def _fictitious_play(
     """Damped best-reply averaging; raises NoConvergenceError at the cap."""
     averages = [np.full(d, 1.0 / d) for d in game.dims]
     for iteration in range(1, cap + 1):
-        profile = MixedProfile(tuple(Distribution(a) for a in averages))
-        replies = [
-            int(np.argmax(payoff_vector(game, profile, h))) for h in range(game.r)
-        ]
+        replies = [int(np.argmax(_payoff_vector(game, averages, h))) for h in range(game.r)]
         step = 1.0 / (iteration + 1)
         for h, reply in enumerate(replies):
             averages[h] *= 1.0 - step

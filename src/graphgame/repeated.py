@@ -21,7 +21,7 @@ import numpy as np
 
 from .chains import Schedule, SupportSplitError
 from .games import GGame, Profile, is_pure_c_equilibrium
-from .graphs import Decomposition, Graph, NotDecomposableError, factorize
+from .graphs import Decomposition, Graph, NotDecomposableError, bfs, factorize
 from .mixed import (
     Distribution,
     MixedProfile,
@@ -70,22 +70,13 @@ class RefereeInit:
 
 def _next_hop_table(g: Graph, targets: Sequence[int]) -> list[int | None]:
     """For each node outside the target set, the deterministic neighbor one
-    step closer to it (None inside the set and when unreachable)."""
-    dist = [None] * g.n
-    frontier = sorted(targets)
-    hop: list[int | None] = [None] * g.n
-    for i in frontier:
-        dist[i] = 0
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in g.neighbors(node):
-                if dist[nb] is None:
-                    dist[nb] = dist[node] + 1
-                    hop[nb] = node
-                    nxt.append(nb)
-        frontier = sorted(nxt)
-    return hop
+    step closer to it (None inside the set and when unreachable): its least
+    neighbour one hop nearer the set."""
+    hops = bfs(g, targets)[2]
+    return [
+        next(i for i in g.neighbors(j) if hops[i] == d - 1) if d > 0 else None
+        for j, d in enumerate(hops)
+    ]
 
 
 class Policy:
@@ -390,22 +381,21 @@ def repeated_payoff(
     """
     if trace.components is None:
         raise ValueError("need a joint trace with per-coalition components")
-    factor_states = [c.states for c in trace.components]
+    if tuple(c.state_labels for c in trace.components) != game.spaces:
+        raise ValueError("the trace's components are not over the game's strategy spaces")
     if horizon is not None:
         if horizon < 1 or horizon > trace.length:
             raise ValueError("horizon exceeds the trace length")
-        # exact identity with the count-weighted ergodic average
-        counts = np.bincount(
-            np.ravel_multi_index([s[:horizon] for s in factor_states], game.dims),
-            minlength=int(np.prod(game.dims)),
-        )
+        # exact identity with the count-weighted ergodic average; a joint
+        # trace's states index the profiles row-major, as the payoffs do
+        counts = trace.prefix_counts(horizon)
         pay = game.payoffs[coalition].reshape(-1)
         total = 0.0
         for idx, count in enumerate(counts.tolist()):
             if count:
                 total += pay[idx] * count
         return total / horizon
-    stage = _stage_payoffs(game, factor_states, coalition)
+    stage = _stage_payoffs(game, [c.states for c in trace.components], coalition)
     running = np.cumsum(stage) / np.arange(1, stage.size + 1)
     start = stage.size // 2
     return float(running[start:].min())

@@ -94,21 +94,16 @@ def make_stream(seed: int) -> UniformStream:
     return UniformStream(np.random.default_rng(np.random.SeedSequence(seed)))
 
 
-def spawn_streams(seed: int, count: int) -> list[UniformStream]:
-    """Independent child streams derived from one master seed."""
-    return [
-        UniformStream(np.random.default_rng(child))
-        for child in np.random.SeedSequence(seed).spawn(count)
-    ]
-
-
 def component_streams(seed: int, count: int) -> list[UniformStream]:
     """Streams for multi-component engines: a single component consumes the
     master stream directly, so a degenerate product replays the plain chain
     byte for byte; several components get independent spawned streams."""
     if count == 1:
         return [make_stream(seed)]
-    return spawn_streams(seed, count)
+    return [
+        UniformStream(np.random.default_rng(child))
+        for child in np.random.SeedSequence(seed).spawn(count)
+    ]
 
 
 def cumulative_row(masses: np.ndarray) -> list[float]:
@@ -350,13 +345,10 @@ def run_nonhomogeneous(
     seed: int,
 ) -> Trace:
     """Chain realizing `mu` on `g` from `init`, driven by `schedule` when the
-    target's support is disconnected inside one component of `g`; states
-    reported in the full node order."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    comp = ComponentSpec(target=mu, graph=g, schedule=schedule, init=init)
-    states = _run_component(comp, steps, make_stream(seed))
-    return Trace(states, g.labels, seed, np.bincount(states, minlength=g.n))
+    target's support is disconnected inside one component of `g`: the one
+    component of a `run_product` chain, which consumes the master stream."""
+    spec = ProductChainSpec((ComponentSpec(mu, g, schedule, init),), steps, seed)
+    return run_product(spec).components[0]
 
 
 @dataclass(frozen=True)
@@ -382,39 +374,34 @@ class ProductChainSpec:
     seed: int
 
 
-def _run_component(comp: ComponentSpec, steps: int, stream: UniformStream) -> np.ndarray:
-    """States over the component's full node order, consuming exactly one
-    initial draw plus one uniform per kernel transition. X(0) is drawn from
-    the initial distribution over the chain's states in graph node order."""
-    g = comp.graph
-    init = comp.init if comp.init is not None else comp.target
-    if init.n != g.n or comp.target.n != g.n:
-        raise ValueError("component distributions must match the factor graph")
-    realization = comp.realization
-    nodes = list(realization.nodes)
-    if abs(float(init.masses[nodes].sum()) - 1.0) > 1e-12:
-        raise ValueError("initial distribution must live on the states of the target's chain")
-    start = nodes[draw_index(cumulative_row(init.masses[nodes]), stream.next())]
-    states = np.empty(steps, dtype=np.int64)
-    realization.run(start, steps, stream, states)
-    return states
-
-
 def run_product(spec: ProductChainSpec) -> Trace:
     """Independent per-component chains assembled into a joint trace.
 
     The joint trace is indexed over the row-major product of the factor node
     orders, matching the strong product's label order; it is consistent with
-    the strong product graph by construction.
+    the strong product graph by construction. Each component consumes
+    exactly one initial draw plus one uniform per kernel transition; X(0) is
+    drawn from its initial distribution over the chain's states in graph
+    node order, and its states are reported in the full node order.
     """
     if spec.steps < 1:
         raise ValueError("need at least one step")
     if not spec.components:
         raise ValueError("need at least one component")
     streams = component_streams(spec.seed, len(spec.components))
-    factor_states = [
-        _run_component(comp, spec.steps, stream) for comp, stream in zip(spec.components, streams)
-    ]
+    factor_states = []
+    for comp, stream in zip(spec.components, streams):
+        init = comp.init if comp.init is not None else comp.target
+        if init.n != comp.graph.n or comp.target.n != comp.graph.n:
+            raise ValueError("component distributions must match the factor graph")
+        realization = comp.realization
+        nodes = list(realization.nodes)
+        if abs(float(init.masses[nodes].sum()) - 1.0) > 1e-12:
+            raise ValueError("initial distribution must live on the states of the target's chain")
+        start = nodes[draw_index(cumulative_row(init.masses[nodes]), stream.next())]
+        states = np.empty(spec.steps, dtype=np.int64)
+        realization.run(start, spec.steps, stream, states)
+        factor_states.append(states)
     return _joint_trace(
         factor_states, [comp.graph.labels for comp in spec.components], spec.seed
     )

@@ -30,14 +30,16 @@ from graphgame.chains import (
 from graphgame.graphs import (
     Graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     edgeless_graph,
+    induced_subgraph,
     path_graph,
     star_graph,
 )
 from graphgame.mixed import Distribution, total_variation
 
-from conftest import edge_labels, random_connected_graph
+from conftest import edge_labels, random_connected_graph, random_graph
 
 
 def dist(*masses):
@@ -50,7 +52,36 @@ def balance_residual(kernel: TransitionKernel, target: Distribution, g: Graph) -
     return float(np.abs(pi[:, None] * m - pi[None, :] * m.T).max())
 
 
+def component_chain_case(g: Graph, mu: Distribution):
+    """`chain_case` decided on the label sets of `connected_components`:
+    the reference for its breadth-first searches."""
+    support = [g.labels[i] for i in mu.support()]
+    restricted = induced_subgraph(g, support)
+    if len(support) == 1:
+        return CaseLabel.POINT_MASS, restricted
+    if len(connected_components(restricted)) == 1:
+        return CaseLabel.SUPPORT_CONNECTED, restricted
+    for comp in connected_components(g):
+        if comp.issuperset(support):
+            return CaseLabel.SUPPORT_IN_COMPONENT, induced_subgraph(g, comp)
+    return CaseLabel.SUPPORT_SPLIT, None
+
+
 class TestClassify:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), connected=st.booleans())
+    def test_matches_component_reference(self, n, seed, connected):
+        rng = random.Random(seed)
+        labels = [f"n{i}" for i in range(n)]
+        if connected:
+            g = random_connected_graph(rng, labels, extra=rng.uniform(0, 0.2))
+        else:
+            g = random_graph(rng, labels, p_edge=rng.uniform(0, 0.3))
+        masses = np.zeros(n)
+        masses[rng.sample(range(n), rng.randint(1, n))] = 1.0
+        mu = Distribution(masses / masses.sum())
+        assert chain_case(g, mu) == component_chain_case(g, mu)
+
     def test_point_mass(self, example_graph):
         assert chain_case(example_graph, dist(0, 0, 1, 0))[0] is CaseLabel.POINT_MASS
 
@@ -198,6 +229,9 @@ class TestBuildKernel:
         g = edgeless_graph(["a", "b"])
         with pytest.raises(NotConnectedError):
             build_kernel(dist(0.5, 0.5), g)
+        # a graph with no nodes has no node to search from
+        with pytest.raises(NotConnectedError):
+            build_kernel(Distribution.uniform(1), Graph([]))
 
     def test_non_positive_target(self):
         g = path_graph(["a", "b"])

@@ -12,6 +12,7 @@ from graphgame.graphs import (
     Graph,
     GraphError,
     TUPLE_SEP,
+    bfs,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -221,6 +222,27 @@ class TestComponents:
             expected = sorted(map(frozenset, nx.connected_components(ref)),
                               key=lambda c: min(map(g.index, c)))
             assert connected_components(g) == expected
+
+
+class TestBFS:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_matches_networkx_from_several_roots(self, n, seed):
+        """Hops are networkx's distances to the nearest root, -1 where no
+        root reaches; the roots come first, and each other node is reached
+        by an arc from a node one hop nearer."""
+        rng = random.Random(seed)
+        g = random_graph(rng, [f"n{i}" for i in range(n)], p_edge=rng.uniform(0, 0.3))
+        roots = rng.sample(range(n), rng.randint(1, n))
+        order, via, hops = bfs(g, roots)
+        ref = nx.Graph(g.edges.tolist())
+        ref.add_nodes_from(range(n))
+        distance = nx.multi_source_dijkstra_path_length(ref, roots)
+        assert hops == [distance.get(i, -1) for i in range(n)]
+        assert order[: len(roots)] == roots and sorted(order) == sorted(distance)
+        assert [via[i] for i in roots] == [-1] * len(roots)
+        for j in order[len(roots) :]:
+            assert g.indices[via[j]] == j and hops[g.sources[via[j]]] == hops[j] - 1
 
 
 class TestInducedSubgraph:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgame.chains import CaseLabel, SupportSplitError, TransitionKernel
 from graphgame.games import CoalitionStructure, GGame, pure_c_equilibria
@@ -35,6 +37,7 @@ from graphgame.repeated import (
     RefereeInit,
     RepeatedConfig,
     TablePolicy,
+    _next_hop_table,
     decompose_game,
     deviation_test,
     equilibrium_policies,
@@ -56,6 +59,7 @@ from conftest import (
     edge_labels,
     kernel_table,
     matching_pennies,
+    random_connected_graph,
     random_graph,
 )
 
@@ -94,6 +98,43 @@ def two_path_game() -> GGame:
     structure = CoalitionStructure((1, 2), ((1,), (2,)))
     payoffs = (np.zeros((3, 3)), np.zeros((3, 3)))
     return GGame(structure, (factor.labels,) * 2, payoffs, strong_product([factor] * 2))
+
+
+def sorted_frontier_hops(g: Graph, targets) -> list:
+    """The next-hop rule as a layered search that expands each layer in
+    ascending node order, each node reached from the first node that finds
+    it: the reference for `_next_hop_table`."""
+    dist = [None] * g.n
+    frontier = sorted(targets)
+    hop = [None] * g.n
+    for i in frontier:
+        dist[i] = 0
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in g.neighbors(node):
+                if dist[nb] is None:
+                    dist[nb] = dist[node] + 1
+                    hop[nb] = node
+                    nxt.append(nb)
+        frontier = sorted(nxt)
+    return hop
+
+
+class TestNextHopTable:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), connected=st.booleans())
+    def test_matches_sorted_frontier_reference(self, n, seed, connected):
+        """The least neighbour one hop nearer the targets, for any target
+        set, in any order, whether or not every node reaches it."""
+        rng = random.Random(seed)
+        labels = [f"n{i}" for i in range(n)]
+        if connected:
+            g = random_connected_graph(rng, labels, extra=rng.uniform(0, 0.3))
+        else:
+            g = random_graph(rng, labels, p_edge=rng.uniform(0, 0.3))
+        targets = rng.sample(range(n), rng.randint(1, n))
+        assert _next_hop_table(g, targets) == sorted_frontier_hops(g, targets)
 
 
 class TestDecomposeGame:
@@ -163,6 +204,14 @@ class TestRepeatedPayoff:
         trace, _ = simulate_repeated(config, seed=1)
         with pytest.raises(ValueError):
             repeated_payoff(trace, game, 0, horizon=6)
+
+    def test_trace_over_other_spaces_rejected(self):
+        # a product trace over two 2-node factors holds no 3 x 3 profile index
+        comp = ComponentSpec(Distribution.uniform(2), path_graph(["a", "b"]))
+        trace = run_product(ProductChainSpec((comp, comp), 10, seed=0))
+        for horizon in (10, None):
+            with pytest.raises(ValueError, match="strategy spaces"):
+                repeated_payoff(trace, two_path_game(), 0, horizon=horizon)
 
     def test_tail_liminf_close_to_final_for_chains(self):
         config = pennies_config(t_eval=100_000)

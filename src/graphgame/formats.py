@@ -247,11 +247,11 @@ def dump_trace_csv(trace: Trace, path: Path) -> None:
     joint trace, one label per component read from the component traces.
 
     The bytes are those a row-by-row csv.writer writes: the text after `t`
-    is quoted once per state, and a joint trace's states are its joint
-    indices, row-major over the component labels. Rows are written in blocks of `_TRACE_ROWS`, each joined in C
-    from three existing strings per row: `t // 1000` in decimal (empty while
-    t < 1000), `t % 1000` (zero-padded to three digits once t >= 1000) and
-    the state's tail. No Python code runs per row.
+    is quoted once per state (a joint trace's states are joint indices,
+    row-major over the component labels). Rows are written in blocks of
+    `_TRACE_ROWS`, each joined in C from three existing strings per row:
+    `t // 1000` in decimal (empty while t < 1000), `t % 1000` (zero-padded to
+    three digits once t >= 1000) and the state's tail. No Python code runs per row.
     """
     if trace.components is None:
         parts, names = (trace,), ["state"]

@@ -379,10 +379,9 @@ def run_product(spec: ProductChainSpec) -> Trace:
 
     The joint trace is indexed over the row-major product of the factor node
     orders, matching the strong product's label order; it is consistent with
-    the strong product graph by construction. Each component consumes
-    exactly one initial draw plus one uniform per kernel transition; X(0) is
-    drawn from its initial distribution over the chain's states in graph
-    node order, and its states are reported in the full node order.
+    the strong product graph by construction. Each component draws X(0)
+    from its initial law on the chain's states in graph node order, then
+    one uniform per kernel transition.
     """
     if spec.steps < 1:
         raise ValueError("need at least one step")

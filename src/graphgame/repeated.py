@@ -69,9 +69,8 @@ class RefereeInit:
 
 
 def _next_hop_table(g: Graph, targets: Sequence[int]) -> list[int | None]:
-    """For each node outside the target set, the deterministic neighbor one
-    step closer to it (None inside the set and when unreachable): its least
-    neighbour one hop nearer the set."""
+    """For each node outside the target set, its least neighbour one hop
+    nearer the set (None inside the set and where the set is unreachable)."""
     hops = bfs(g, targets)[2]
     return [
         next(i for i in g.neighbors(j) if hops[i] == d - 1) if d > 0 else None

@@ -120,6 +120,20 @@ class TablePolicy(Policy):
         self.name = name
         self.hop = list(hop)
         self.chain = chain
+        self._checked: tuple[Graph, bool] | None = None
+
+    def moves_allowed(self, factor: Graph) -> bool:
+        """Whether every move the policy can make is adjacent-or-equal in
+        `factor`: its hops, its table's successors, or the arcs of a
+        realization on `factor` itself. Checked once per factor."""
+        if self._checked is None or self._checked[0] is not factor:
+            moves = [(s, t) for s, t in enumerate(self.hop) if t is not None]
+            if isinstance(self.chain, TransitionTable):
+                moves += [(s, t) for s, row in enumerate(self.chain.succ) for t in row or ()]
+            ok = not isinstance(self.chain, Realization) or self.chain.graph == factor
+            src, dst = np.array(moves, dtype=np.int64).reshape(-1, 2).T
+            self._checked = (factor, ok and bool(factor.allows(src, dst).all()))
+        return self._checked[1]
 
     def _path(self, start: int, stages: int, stream: UniformStream) -> np.ndarray:
         out = np.empty(stages, dtype=np.int64)
@@ -304,8 +318,11 @@ def _check_move(factor: Graph, h: int, prev: int, nxt: int, t: int) -> None:
 def _table_path(
     factor: Graph, h: int, policy: TablePolicy, start: int, stream: UniformStream, stages: int
 ) -> np.ndarray:
-    """A table policy's whole path, checked against the factor's edges at once."""
+    """A table policy's whole path, checked against the factor's edges at
+    once unless every move the policy can make is allowed."""
     path = policy._path(start, stages, stream)
+    if policy.moves_allowed(factor):
+        return path
     bad = np.flatnonzero(~factor.allows(path[:-1], path[1:]))
     if bad.size:
         t = int(bad[0]) + 1

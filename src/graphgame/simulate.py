@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -60,10 +61,11 @@ _SINGLES = 256  # uniforms buffered for next(); block requests draw exactly
 class UniformStream:
     """Float64 uniforms from one generator, drawn only as they are handed out.
 
-    `take(n)` serves what `next()` left buffered and draws exactly the rest;
-    `next()` buffers `_SINGLES` draws at a time. numpy yields the same values
-    however draws are split into blocks, so buffering never changes a value,
-    and the generator runs at most one small buffer ahead of the consumer.
+    `take(n)`, and `take_array(n)` as one float64 array, serve what `next()`
+    left buffered and draw exactly the rest; `next()` buffers `_SINGLES`
+    draws at a time. numpy yields the same values however draws are split
+    into blocks, so buffering never changes a value, and the generator runs
+    at most one small buffer ahead of the consumer.
     `next` is the `__next__` of a chain over the buffers, so a draw runs no
     Python frame. `_buffers` holds the numpy generator and the current-buffer
     cell, not the stream, so the stream is in no reference cycle."""
@@ -76,10 +78,12 @@ class UniformStream:
         ).__next__
 
     def take(self, n: int) -> list[float]:
-        out = list(islice(self._current[0], max(n, 0)))
-        if n > len(out):
-            out.extend(self._rng.random(n - len(out)).tolist())
-        return out
+        return self.take_array(n).tolist()
+
+    def take_array(self, n: int) -> np.ndarray:
+        head = list(islice(self._current[0], max(n, 0)))
+        rest = self._rng.random(max(n - len(head), 0))
+        return np.concatenate([head, rest]) if head else rest
 
 
 def _buffers(rng: np.random.Generator, current: list):
@@ -147,7 +151,13 @@ def _advance(
     offset: int,
 ) -> int:
     """Take `count` table transitions from `node`, one uniform each, storing
-    the states at out[offset:]; returns the last state."""
+    the states at out[offset:]; returns the last state. A small table walks
+    whole symbols of m transitions; the rest bisect one by one."""
+    walk = _walk_for(table, count)
+    if walk is not None:
+        done = count - count % walk.m
+        node = walk.run(node, stream, done, out, offset)
+        offset, count = offset + done, count - done
     cum, succ = table.cum, table.succ
     end = offset + count
     while offset < end:
@@ -162,6 +172,90 @@ def _advance(
     return node
 
 
+_WALK_ENTRIES = 1 << 12  # most (state, symbol) entries one walk tabulates
+
+
+def _walk_for(table: "TransitionTable", count: int) -> "_Walk | None":
+    """The table's walk for `count` transitions: the largest m >= 2 with
+    n * K**m <= min(_WALK_ENTRIES, count // 8), or None when none fits. The
+    table keeps its last walk. A large table is gated out on its size, or
+    after reading the first cuts past what m = 2 allows."""
+    n, budget = len(table.cum), min(_WALK_ENTRIES, count // 8)
+    if 4 * n > budget:  # m = 2 needs K >= 2
+        return None
+    walk = table._walk
+    if walk is None:
+        cuts: set[float] = set()
+        for row in filter(None, table.cum):
+            cuts.update(row)
+            if n * len(cuts) ** 2 > budget:
+                return None
+    m, k = 1, len(cuts) if walk is None else walk.cuts.size
+    while k > 1 and n * k ** (m + 1) <= budget:
+        m += 1
+    if m < 2:
+        return None
+    if walk is None or walk.m != m:
+        walk = table._walk = _Walk(table, sorted(cuts) if walk is None else walk.cuts.tolist(), m)
+    return walk
+
+
+class _Walk:
+    """A table's random mapping composed m transitions at a time.
+
+    `cuts` are the K sorted distinct values of the table's rows, the last
+    1.0, and a uniform's class is the number of cuts at or below it. A row's
+    values are cuts, so bisect_right(cum[s], u) is the same for every u of
+    one class: `step[s][c]` reads it at the class's lower end. A symbol packs
+    m classes in base K.
+    rows[s][σ] is the row of the state m transitions on from s, rows[s][K**m]
+    is s * K**m, and states[s * K**m + σ] holds the m states. The rows refer
+    to each other, so freeing the walk clears them and leaves no cycle."""
+
+    __slots__ = ("cuts", "m", "rows", "states")
+
+    def __init__(self, table: "TransitionTable", cuts: list[float], m: int):
+        n, k, lows = len(table.cum), len(cuts), [0.0, *cuts[:-1]]
+        step = np.array([
+            [nxt[bisect_right(row, lo)] for lo in lows] if row else [s] * k
+            for s, (row, nxt) in enumerate(zip(table.cum, table.succ))
+        ])
+        span = k**m
+        digits = np.arange(span)[:, None] // k ** np.arange(m - 1, -1, -1) % k
+        states = np.empty((n, span, m), dtype=np.min_scalar_type(n - 1))
+        at = np.broadcast_to(np.arange(n)[:, None], (n, span))
+        for j in range(m):
+            states[:, :, j] = at = step[at, digits[:, j]]
+        self.rows: list[list] = [[] for _ in range(n)]
+        for s, row in enumerate(self.rows):
+            row += [*map(self.rows.__getitem__, at[s].tolist()), s * span]
+        self.cuts, self.m, self.states = np.array(cuts), m, states.reshape(n * span, m)
+
+    def __del__(self) -> None:
+        for row in self.rows:
+            row.clear()
+
+    def run(
+        self, node: int, stream: UniformStream, count: int, out: np.ndarray, offset: int
+    ) -> int:
+        """`_advance` for a multiple of m transitions: the rows walk the
+        symbols in C, and one gather writes each block's states."""
+        m, k = self.m, self.cuts.size
+        span, end = k**m, offset + count
+        while offset < end:
+            size = min(_BLOCK - _BLOCK % m, end - offset)
+            classes = np.searchsorted(self.cuts, stream.take_array(size), "right").reshape(-1, m)
+            symbols = classes[:, 0]
+            for j in range(1, m):
+                symbols = symbols * k + classes[:, j]
+            walked = accumulate(symbols.tolist(), getitem, initial=self.rows[node])
+            starts = np.fromiter(map(itemgetter(span), walked), np.intp, symbols.size + 1)
+            node = int(starts[-1]) // span
+            out[offset : offset + size] = self.states[starts[:-1] + symbols].ravel()
+            offset += size
+        return node
+
+
 class TransitionTable:
     """A time-homogeneous random mapping f(state, u) over graph nodes.
 
@@ -170,11 +264,12 @@ class TransitionTable:
     lands in it. States without a row (None) are not in the table.
     """
 
-    __slots__ = ("cum", "succ")
+    __slots__ = ("cum", "succ", "_walk")
 
     def __init__(self, cum: list, succ: list):
         self.cum = cum
         self.succ = succ
+        self._walk: _Walk | None = None
 
     @classmethod
     def from_levels(

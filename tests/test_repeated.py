@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from graphgame.repeated import (
     RepeatedConfig,
     TablePolicy,
     _next_hop_table,
+    _table_path,
     decompose_game,
     deviation_test,
     equilibrium_policies,
@@ -49,6 +51,7 @@ from graphgame.repeated import (
 from graphgame.simulate import (
     ComponentSpec,
     ProductChainSpec,
+    make_stream,
     run_product,
     verify_consistency,
 )
@@ -446,6 +449,25 @@ class TestSimulateRepeated:
         first = int(np.flatnonzero(uniforms >= 0.5)[0]) + 1
         assert messages[0] == messages[1]
         assert f"jumped a -> c at stage {first};" in messages[0]
+
+    def test_table_moves_checked_once_per_factor(self):
+        factor = path_graph(["a", "b", "c"])
+        game = one_coalition_game(factor)
+        dec = decompose_game(game)
+        eq = equilibrium_policies(game, dec, MixedProfile((dist(0.5, 0.0, 0.5),)))
+        kernel = TransitionKernel(np.full((2, 2), 0.5), ("a", "c"), 0.5)
+        off_edge = TablePolicy("off-edge", [None] * 3, kernel_table(kernel, factor.labels))
+        for policy in (*stock_deviation_policies(game, dec, 0), *eq):
+            with mock.patch.object(Graph, "allows", autospec=True, side_effect=Graph.allows) as spy:
+                for start in range(3):
+                    _table_path(factor, 0, policy, start, make_stream(start), 500)
+            assert spy.call_count == 1  # the policy's moves, and no path scan
+            assert policy.moves_allowed(factor)
+        edgeless = edgeless_graph(factor.labels)
+        assert not stock_deviation_policies(game, dec, 0)[2].moves_allowed(edgeless)
+        assert not eq[0].moves_allowed(edgeless)  # a realization on another graph
+        assert not ConstantPolicy(factor, 1).moves_allowed(edgeless)
+        assert not off_edge.moves_allowed(factor)
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -35,7 +35,11 @@ from graphgame.simulate import (
     Realization,
     Trace,
     UniformStream,
+    _BLOCK,
     _SINGLES,
+    _WALK_ENTRIES,
+    TransitionTable,
+    _advance,
     cumulative_row,
     draw_index,
     empirical_distribution,
@@ -45,9 +49,9 @@ from graphgame.simulate import (
     run_product,
     verify_consistency,
 )
-from graphgame.repeated import ConstantPolicy
+from graphgame.repeated import ConstantPolicy, LazyRandomWalkPolicy, RandomWalkPolicy
 
-from conftest import edge_labels, level_kernel
+from conftest import edge_labels, kernel_table, level_kernel, random_connected_graph
 
 
 def dist(*masses):
@@ -57,12 +61,13 @@ def dist(*masses):
 TWO_STATE_KERNEL = build_kernel(dist(2 / 3, 1 / 3), path_graph(["a", "b"]))
 
 
-# a stream request: None is one next(), an integer k is take(k)
-STREAM_REQUEST = st.one_of(
-    st.none(),
+# a stream request: None is one next(), an integer k is take(k), and
+# ("array", k) is take_array(k)
+BLOCK_SIZE = st.one_of(
     st.sampled_from([0, 1, _SINGLES - 1, _SINGLES, _SINGLES + 1, (1 << 16) + 1, 70_001]),
     st.integers(0, 3 * _SINGLES),
 )
+STREAM_REQUEST = st.one_of(st.none(), BLOCK_SIZE, st.tuples(st.just("array"), BLOCK_SIZE))
 
 
 class TestUniformStream:
@@ -75,6 +80,10 @@ class TestUniformStream:
         for k in requests:
             if k is None:
                 got.append(stream.next())
+            elif isinstance(k, tuple):
+                block = stream.take_array(k[1])
+                assert block.dtype == np.float64 and block.shape == (k[1],)
+                got.extend(block.tolist())
             else:
                 block = stream.take(k)
                 assert len(block) == k
@@ -104,6 +113,7 @@ class TestUniformStream:
         stream = UniformStream(rng)
         first = stream.next()
         assert stream.take(-3) == []
+        assert stream.take_array(-3).size == 0
         assert [first, stream.next()] == np.random.default_rng(5).random(2).tolist()
 
 
@@ -116,6 +126,126 @@ class TestCumulativeRow:
         assert cum[-2:] == [1.0, 1.0]
         assert draw_index(cum, 1.0 - 2.0**-53) == 9
         assert draw_index(cum, 0.0) == 0
+
+
+@st.composite
+def small_tables(draw):
+    """A table over 1-5 states: a kernel level (its rows outside the chain's
+    states are empty), the cut-point table of a random-walk probe, the
+    cumulative rows of small integer weights with their zeros kept, or the
+    identity."""
+    kind = draw(st.sampled_from(["kernel", "lazy", "walk", "weights", "identity"]))
+    n = draw(st.integers(1 if kind == "identity" else 2, 5))
+    labels = [f"s{i}" for i in range(n)]
+    g = random_connected_graph(random.Random(draw(st.integers(0, 2**16))), labels)
+    if kind == "kernel":
+        masses = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), min_size=n, max_size=n))
+        if sum(1 for w in masses if w) < 2:
+            masses[:2] = [1, 1]
+        target = Distribution(np.array(masses) / sum(masses))
+        realization = Realization(target, g, Schedule.power_gap())
+        level = 0 if realization.schedule is None else draw(st.integers(1, 6))
+        realization._build_tables([level])
+        return realization._tables[level]
+    if kind in ("lazy", "walk"):
+        return (LazyRandomWalkPolicy if kind == "lazy" else RandomWalkPolicy)(g).chain
+    if kind == "identity":
+        return TransitionTable([[1.0]] * n, [[s] for s in range(n)])
+    weights = st.lists(st.integers(0, 8), min_size=n, max_size=n).filter(any)
+    rows = [np.array(draw(weights), dtype=float) for _ in range(n)]
+    return TransitionTable([cumulative_row(w / w.sum()) for w in rows], [list(range(n))] * n)
+
+
+class OnCuts:
+    """A generator stand-in whose uniforms are a table's cuts below 1.0,
+    the floats just below them, 0.0 and the largest float below 1.0: the
+    ties at which a class boundary off by one would show."""
+
+    def __init__(self, cuts, seed):
+        below = [np.nextafter(c, 0.0) for c in cuts]
+        self.pool = np.array(sorted({0.0, *cuts, *below} - {1.0}))
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return self.rng.choice(self.pool, size)
+
+
+def walk_from(table, start, count, seed, buffered, on_cuts=False):
+    """The path and last state of `count` transitions from `start`, after
+    `buffered` next() draws, and the stream's next uniform after the run."""
+    if on_cuts:
+        cuts = {v for row in table.cum if row is not None for v in row}
+        stream = UniformStream(OnCuts(cuts, seed))
+    else:
+        stream = make_stream(seed)
+    for _ in range(buffered):
+        stream.next()
+    out = np.empty(count, dtype=np.int64)
+    last = _advance(table, start, stream, count, out, 0)
+    return out, last, stream.next()
+
+
+class TestCompiledWalk:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        table=small_tables(),
+        count=st.one_of(
+            st.sampled_from([0, 1, 2, 7, 255, 4097, 32768, 32771, _BLOCK + 5, 70_001]),
+            st.integers(0, 5000),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.sampled_from([0, 1, 5, _SINGLES - 1, _SINGLES + 3]),
+        on_cuts=st.booleans(),
+    )
+    def test_walk_replays_bisect_loop(self, table, count, seed, buffered, on_cuts):
+        n = len(table.cum)
+        cuts = {v for row in table.cum if row is not None for v in row}
+        for start in (s for s in range(n) if s in table):
+            with mock.patch.object(simulate, "_WALK_ENTRIES", 0):  # gates every table out
+                reference = walk_from(table, start, count, seed, buffered, on_cuts)
+            got = walk_from(table, start, count, seed, buffered, on_cuts)
+            assert got[0].tobytes() == reference[0].tobytes()
+            assert got[1:] == reference[1:]
+        if len(cuts) == 1:
+            assert table._walk is None  # the identity: one class, nothing to compile
+        elif count // 8 >= _WALK_ENTRIES:
+            # n <= 5 states with at most 25 cuts always fit m = 2
+            assert table._walk is not None and table._walk.m >= 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_small_kernels_compile(self, n):
+        g = path_graph([f"s{i}" for i in range(n)])
+        masses = np.arange(1.0, n + 1)
+        table = kernel_table(build_kernel(Distribution(masses / masses.sum()), g), g.labels)
+        walk_from(table, 0, 150_000, 3, 0)
+        assert table._walk.m >= 2
+        assert n * table._walk.cuts.size ** table._walk.m <= _WALK_ENTRIES
+
+    def test_walk_makes_no_reference_cycle(self):
+        g = path_graph(["a", "b", "c"])
+        table = kernel_table(build_kernel(dist(0.5, 0.3, 0.2), g), g.labels)
+        gc.collect()
+        gc.disable()
+        try:
+            walk_from(table, 0, 50_000, 1, 0)
+            assert table._walk is not None
+            del table
+            assert gc.collect() == 0  # the walk's rows were freed with it
+        finally:
+            gc.enable()
+
+    def test_scheduled_run_keeps_walks_within_its_budget(self, example_graph):
+        realization = Realization(dist(0.5, 0.5, 0, 0), example_graph, Schedule.power_gap())
+        steps = 200_000
+        realization.run(0, steps, make_stream(8), np.empty(steps, dtype=np.int64))
+        counts = dict((level, count) for count, level in realization._runs(0, steps - 1))
+        walks = 0
+        for level, table in realization._tables.items():
+            if table._walk is not None:
+                walks += 1
+                size = len(table.cum) * table._walk.cuts.size ** table._walk.m
+                assert size <= min(_WALK_ENTRIES, counts[level] // 8)
+        assert walks > 0
 
 
 class TestHomogeneous:

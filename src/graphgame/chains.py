@@ -237,12 +237,8 @@ def build_kernel(target: Distribution, g: Graph) -> TransitionKernel:
 
 
 def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
-    """Contraction coefficient: one minus the minimal row overlap.
-
-    With no negative entry, rows of disjoint supports (a zero in S S^T, S the
-    support indicator) overlap by 0, the least possible, so the result is 1.0.
-    Otherwise the overlaps are computed by `_least_overlap`.
-    """
+    """Contraction coefficient: one minus the minimal row overlap, computed
+    by `_least_overlap`."""
     m = kernel.matrix if isinstance(kernel, TransitionKernel) else np.asarray(kernel, float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
@@ -250,10 +246,6 @@ def dobrushin(kernel: TransitionKernel | np.ndarray) -> float:
         np.abs(m.sum(axis=1) - 1.0) > STOCHASTIC_TOL
     ):
         raise ValueError("matrix is not row-stochastic")
-    if np.all(m >= 0):
-        support = (m > 0).astype(np.float32)
-        if not np.all(support @ support.T):
-            return 1.0
     return float(1.0 - _least_overlap(lambda i, j: m[i:j], len(m)))
 
 
@@ -442,12 +434,6 @@ class Schedule:
         while self._times[-1] <= t and self._reach(len(self._times) + 1):
             pass
         return bisect_right(self._times, t)
-
-    def smoothing_index(self, l: int) -> int:
-        """The level k_l of interval l >= 1; past the end of a finite
-        schedule, its last level."""
-        self._reach(l)
-        return self._levels[min(l, len(self._levels)) - 1]
 
     def segments(self, t: int, count: int) -> Iterator[tuple[int, int | None]]:
         """The `count` transitions from time t on, as (run length, level)

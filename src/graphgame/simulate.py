@@ -326,13 +326,12 @@ class Realization:
       and construction raises SupportSplitError.
 
     Construction classifies and restricts the graph once and builds no
-    kernel. A run tabulates the levels it visits that are not tabulated
-    yet, all in one batch; `level_at` builds one level on request.
-    `nodes` are the states the chain lives on, in graph node order.
+    kernel. A run tabulates the levels it visits as it reaches them, and
+    keeps at most one batch of tables; `level_at` builds one level on
+    request. `nodes` are the states the chain lives on, in graph node order.
     """
 
     def __init__(self, target: Distribution, graph: Graph, schedule: Schedule | None = None):
-        self.target = target
         self.graph = graph
         self.case, chain_graph = chain_case(graph, target)
         if self.case is CaseLabel.SUPPORT_SPLIT:
@@ -378,39 +377,37 @@ class Realization:
         ((_, level),) = self._runs(max(t, first), 1)
         return kernel_levels(self._chain_graph, self._level_masses([level or 0]))
 
-    def _build_tables(self, levels: list[int | None]) -> None:
-        """Tabulate every level in `levels` not tabulated yet (None is a
-        hold), in batches of at most LEVEL_BLOCK entries (one level when a
-        level exceeds it)."""
-        missing = [l for l in dict.fromkeys(levels) if l is not None and l not in self._tables]
-        step = max(1, LEVEL_BLOCK // (len(self.nodes) + self._chain_graph.indices.size))
-        for i in range(0, len(missing), step):
-            batch = missing[i : i + step]
-            built = kernel_levels(self._chain_graph, self._level_masses(batch))
-            self._tables.update(
-                zip(batch, TransitionTable.from_levels(built, self.nodes, self.graph.n))
-            )
-
     def run(
         self, start_node: int, steps: int, stream: UniformStream, out: np.ndarray, t0: int = 0
     ) -> None:
         """Fill out[0:steps] with states in graph node order: out[0] is
         start_node, and out[i + 1] follows out[i] by the kernel in force at
         transition time t0 + i. One uniform per kernel transition, none while
-        the chain holds. The levels the run visits are tabulated before it
-        starts."""
+        the chain holds. The segments are read in batches of as many as
+        LEVEL_BLOCK entries of levels hold (one when a level is larger), and
+        each batch's new levels are tabulated in one call. At most one batch
+        of tables is kept, across runs too: a batch that would pass that
+        clears them first."""
         if start_node not in self._members:
             raise ValueError("start node is not a state of the target's chain")
-        segments = list(self._runs(t0, steps - 1))
-        self._build_tables([level for _, level in segments])
+        size = max(1, LEVEL_BLOCK // (len(self.nodes) + self._chain_graph.indices.size))
+        segments = iter(self._runs(t0, steps - 1))
         out[0] = node = start_node
         filled = 1
-        for count, level in segments:
-            if level is None:
-                out[filled : filled + count] = node
-            else:
-                node = _advance(self._tables[level], node, stream, count, out, filled)
-            filled += count
+        while batch := list(islice(segments, size)):
+            levels = dict.fromkeys(level for _, level in batch if level is not None)
+            if len(self._tables.keys() | levels.keys()) > size:
+                self._tables.clear()
+            if missing := [l for l in levels if l not in self._tables]:
+                built = kernel_levels(self._chain_graph, self._level_masses(missing))
+                tables = TransitionTable.from_levels(built, self.nodes, self.graph.n)
+                self._tables.update(zip(missing, tables))
+            for count, level in batch:
+                if level is None:
+                    out[filled : filled + count] = node
+                else:
+                    node = _advance(self._tables[level], node, stream, count, out, filled)
+                filled += count
 
 
 def run_homogeneous(

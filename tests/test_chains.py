@@ -488,8 +488,8 @@ class TestSchedule:
     def test_counterexample_indices(self):
         sched = Schedule.counterexample()
         assert [sched.time_at(l) for l in (1, 2, 3)] == [1, 2, 3]
-        assert sched.smoothing_index(3) == 8
-        assert sched.smoothing_index(100) == 2**50  # float-precision cap
+        assert list(sched.segments(3, 1)) == [(1, 8)]  # interval 3 starts at time 3
+        assert list(sched.segments(100, 1)) == [(1, 2**50)]  # float-precision cap
         for max_exponent in (1, 5, 50):
             capped = Schedule.counterexample(max_exponent)
             assert capped.interval_index(10**6) == max_exponent
@@ -515,7 +515,8 @@ class TestSchedule:
 
     def test_last_level_past_a_finite_end(self):
         sched = Schedule.explicit([1, 5, 9])
-        assert [sched.smoothing_index(l) for l in (1, 3, 4, 100)] == [1, 3, 3, 3]
+        assert list(sched.segments(0, 100)) == [(1, None), (4, 1), (4, 2), (91, 3)]
+        assert list(sched.segments(10**6, 1)) == [(1, 3)]
 
     def test_segments(self):
         sched = Schedule("given", iter([(3, 7), (5, 2), (6, 9)]))

@@ -9,6 +9,7 @@ bit, since every chain artifact depends on the exact floats.
 import random
 import tracemalloc
 import warnings
+from itertools import count
 from unittest import mock
 
 import numpy as np
@@ -157,9 +158,11 @@ class TestSmoothingLevels:
     )
     def test_batched_tables_match_per_level_tables(self, n, others, ks, block, seed):
         """Smoothing levels up to the counterexample cap, on a component
-        with shuffled edges that may sit next to another component: the
-        tables a Realization builds in batches equal the per-level tables on
-        the component's graph list for list, whatever the batch size."""
+        with shuffled edges that may sit next to another component: a run
+        through the levels `ks`, one transition each, builds each batch of
+        segments' new levels in one call, and every table it builds equals
+        the per-level table on the component's graph list for list,
+        whatever the batch size."""
         rng = random.Random(seed)
         labels = [f"v{i}" for i in range(n)]
         rest = [f"w{i}" for i in range(others)]
@@ -183,29 +186,51 @@ class TestSmoothingLevels:
             masses[:] = 0.0
             masses[[a, b]] = 0.5
             mu = Distribution(masses)
-        realization = Realization(mu, g, Schedule.power_gap())
-        sizes = []
-        levels = simulate.kernel_levels
+        realization = Realization(mu, g, Schedule("unit", zip(count(1), ks)))
+        sizes, built, tables = [], [], []  # tables as built: passed batches are cleared
+        levels, level_masses = simulate.kernel_levels, realization._level_masses
+        from_levels = TransitionTable.from_levels
 
         def counted(graph, masses):
             sizes.append(len(masses))
             return levels(graph, masses)
 
-        with mock.patch.object(simulate, "LEVEL_BLOCK", block):
-            with mock.patch.object(simulate, "kernel_levels", counted):
-                realization._build_tables(ks)
-        unique = list(dict.fromkeys(ks))
+        def captured(batch):
+            built.extend(batch)
+            return level_masses(batch)
+
+        def tabulated(stack, nodes, size):
+            tables.extend(from_levels(stack, nodes, size))
+            return tables[-len(stack.p) :]
+
+        out = np.empty(len(ks) + 1, dtype=np.int64)
+        with (
+            mock.patch.object(simulate, "LEVEL_BLOCK", block),
+            mock.patch.object(simulate, "kernel_levels", counted),
+            mock.patch.object(realization, "_level_masses", captured),
+            mock.patch.object(TransitionTable, "from_levels", tabulated),
+        ):
+            realization.run(realization.nodes[0], out.size, make_stream(seed), out, t0=1)
         chain_graph = realization._chain_graph
         step = max(1, block // (chain_graph.n + chain_graph.indices.size))
-        assert sizes == [min(step, len(unique) - i) for i in range(0, len(unique), step)]
+        # each batch of `step` segments builds the levels not kept; the
+        # tables kept are cleared when a batch would take them past `step`
+        batch_sizes, kept = [], set()
+        for i in range(0, len(ks), step):
+            batch = set(ks[i : i + step])
+            kept = kept if len(kept | batch) <= step else set()
+            batch_sizes += [len(batch - kept)] if batch - kept else []
+            kept |= batch
+        assert sizes == batch_sizes
+        assert len(realization._tables) <= step
+        assert len(built) == len(tables) and set(built) == set(ks)
         # the component's graph, built independently of the realization
         component = induced_subgraph(g, labels) if rest else g
         # every load is summed in the neighbour order of the CSR arrays
         assert np.array_equal(chain_graph.indptr, component.indptr)
         assert np.array_equal(chain_graph.indices, component.indices)
         restricted = Distribution(mu.masses[[g.index(lab) for lab in component.labels]])
-        for k in unique:
-            table = realization._tables[k]
+        for k, table in zip(built, tables):
             kernel = build_kernel(smooth(restricted, k).smoothed, component)
             expected = kernel_table(kernel, g.labels)
             assert table.cum == expected.cum and table.succ == expected.succ

@@ -20,6 +20,7 @@ from graphgame.chains import (
     smooth,
     stationary_distribution,
 )
+from graphgame.cli import parse_schedule
 from graphgame.graphs import (
     Graph,
     complete_graph,
@@ -144,9 +145,10 @@ def small_tables(draw):
             masses[:2] = [1, 1]
         target = Distribution(np.array(masses) / sum(masses))
         realization = Realization(target, g, Schedule.power_gap())
-        level = 0 if realization.schedule is None else draw(st.integers(1, 6))
-        realization._build_tables([level])
-        return realization._tables[level]
+        schedule = realization.schedule  # power-gap interval l runs level l
+        t = 0 if schedule is None else schedule.time_at(draw(st.integers(1, 6)))
+        (table,) = TransitionTable.from_levels(realization.level_at(t), realization.nodes, n)
+        return table
     if kind in ("lazy", "walk"):
         return (LazyRandomWalkPolicy if kind == "lazy" else RandomWalkPolicy)(g).chain
     if kind == "identity":
@@ -455,6 +457,51 @@ class TestRealization:
             assert calls == []
             Realization(dist(0.5, 0, 0.5, 0), example_graph).level_at(0)
         assert calls == [1]
+
+    def test_level_cache_holds_one_batch(self, example_graph):
+        """With batches of 5 levels, 2000 steps of `powergap:1:0` cross about
+        2000 levels, and the realization keeps the tables of one batch."""
+        realization = Realization(dist(0.5, 0.5, 0, 0), example_graph, Schedule.power_gap(1, 0))
+        entries = len(realization.nodes) + realization._chain_graph.indices.size
+        out = np.empty(2000, dtype=np.int64)
+        with mock.patch.object(simulate, "LEVEL_BLOCK", 5 * entries):
+            realization.run(0, out.size, make_stream(2), out)
+        assert len(realization._tables) <= 5
+
+    @pytest.mark.parametrize("schedule", ["powergap:1:3", "counterexample", "powergap:1:0"])
+    def test_batch_size_leaves_the_path_unchanged(self, example_graph, schedule):
+        """Batches of one level, of a few and of every level give the same
+        path, last state and next uniform, over two runs in a row."""
+
+        def two_runs(block):
+            realization = Realization(
+                dist(0.5, 0.5, 0, 0), example_graph, parse_schedule(schedule, 4)
+            )
+            stream = make_stream(6)
+            out = np.empty(6000, dtype=np.int64)
+            with mock.patch.object(simulate, "LEVEL_BLOCK", block):
+                realization.run(0, 3000, stream, out)
+                realization.run(int(out[2999]), 3001, stream, out[2999:], t0=2999)
+            return out.tobytes(), stream.next()
+
+        reference = two_runs(simulate.LEVEL_BLOCK)
+        assert two_runs(1) == reference
+        assert two_runs(64) == reference
+
+    def test_second_run_builds_nothing(self, example_graph):
+        """A second run over levels the first one tabulated and compiled
+        builds no kernel level and compiles no walk: replicas compile once
+        per policy."""
+        realization = Realization(dist(0.5, 0.5, 0, 0), example_graph, Schedule.power_gap())
+        out = np.empty(50_000, dtype=np.int64)
+        realization.run(0, out.size, make_stream(1), out)
+        assert any(table._walk is not None for table in realization._tables.values())
+        with (
+            mock.patch.object(simulate, "kernel_levels", wraps=simulate.kernel_levels) as levels,
+            mock.patch.object(simulate, "_Walk", wraps=simulate._Walk) as walks,
+        ):
+            realization.run(0, out.size, make_stream(2), out)
+        assert levels.call_count == 0 and walks.call_count == 0
 
 
 class TestProduct:

@@ -383,8 +383,9 @@ class Realization:
         """Fill out[0:steps] with states in graph node order: out[0] is
         start_node, and out[i + 1] follows out[i] by the kernel in force at
         transition time t0 + i. One uniform per kernel transition, none while
-        the chain holds. The segments are read in batches of as many as
-        LEVEL_BLOCK entries of levels hold (one when a level is larger), and
+        the chain holds. The segments are read in batches of
+        LEVEL_BLOCK // (states + arcs), at least one, so a batch's levels
+        fill at most LEVEL_BLOCK entries (one level when a level is larger);
         each batch's new levels are tabulated in one call. At most one batch
         of tables is kept, across runs too: a batch that would pass that
         clears them first."""
@@ -400,8 +401,9 @@ class Realization:
                 self._tables.clear()
             if missing := [l for l in levels if l not in self._tables]:
                 built = kernel_levels(self._chain_graph, self._level_masses(missing))
-                tables = TransitionTable.from_levels(built, self.nodes, self.graph.n)
-                self._tables.update(zip(missing, tables))
+                self._tables.update(
+                    zip(missing, TransitionTable.from_levels(built, self.nodes, self.graph.n))
+                )
             for count, level in batch:
                 if level is None:
                     out[filled : filled + count] = node

@@ -187,7 +187,7 @@ class TestSmoothingLevels:
             masses[[a, b]] = 0.5
             mu = Distribution(masses)
         realization = Realization(mu, g, Schedule("unit", zip(count(1), ks)))
-        sizes, built, tables = [], [], []  # tables as built: passed batches are cleared
+        sizes, built_ks, tables = [], [], []  # as built: passed batches are cleared
         levels, level_masses = simulate.kernel_levels, realization._level_masses
         from_levels = TransitionTable.from_levels
 
@@ -196,12 +196,13 @@ class TestSmoothingLevels:
             return levels(graph, masses)
 
         def captured(batch):
-            built.extend(batch)
+            built_ks.extend(batch)
             return level_masses(batch)
 
         def tabulated(stack, nodes, size):
-            tables.extend(from_levels(stack, nodes, size))
-            return tables[-len(stack.p) :]
+            batch = from_levels(stack, nodes, size)
+            tables.extend(batch)
+            return batch
 
         out = np.empty(len(ks) + 1, dtype=np.int64)
         with (
@@ -223,14 +224,14 @@ class TestSmoothingLevels:
             kept |= batch
         assert sizes == batch_sizes
         assert len(realization._tables) <= step
-        assert len(built) == len(tables) and set(built) == set(ks)
+        assert len(built_ks) == len(tables) and set(built_ks) == set(ks)
         # the component's graph, built independently of the realization
         component = induced_subgraph(g, labels) if rest else g
         # every load is summed in the neighbour order of the CSR arrays
         assert np.array_equal(chain_graph.indptr, component.indptr)
         assert np.array_equal(chain_graph.indices, component.indices)
         restricted = Distribution(mu.masses[[g.index(lab) for lab in component.labels]])
-        for k, table in zip(built, tables):
+        for k, table in zip(built_ks, tables):
             kernel = build_kernel(smooth(restricted, k).smoothed, component)
             expected = kernel_table(kernel, g.labels)
             assert table.cum == expected.cum and table.succ == expected.succ

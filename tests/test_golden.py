@@ -81,6 +81,10 @@ RUNS = {
         "mcmc-run", "{in}/ring_path_graph.json", "{in}/ring_path_target.json",
         "--steps", "20000", "--seed", "11",
     ],
+    "mcmc-run-generated-tree120": [
+        "mcmc-run", "{in}/tree_graph.json", "{in}/tree_target.json", "--steps", "20000",
+        "--seed", "12",
+    ],
 }
 
 
@@ -140,6 +144,27 @@ def write_generated_ring(folder: Path) -> None:
     formats.dump_json(
         {lab: {"v5": 0.6, "v22": 0.4}.get(lab, 0.0) for lab in path + labels},
         folder / "ring_path_target.json",
+    )
+
+
+def write_generated_tree(folder: Path) -> None:
+    """A 120-node binary-heap tree (node i's parent is (i - 1) // 2) plus a
+    chord from every sixth node i to (13 i + 5) % 120, with a strictly
+    positive target whose masses are 10 ** (-3 (53 i % 120) / 119) up to
+    normalization. The mass range of 1000 makes the hop probability tiny,
+    so the chain holds on most steps: the near-frozen shape of a Dirichlet
+    target on a sparse random graph."""
+    n = 120
+    labels = [f"t{i}" for i in range(n)]
+    edges = {((i - 1) // 2, i) for i in range(1, n)}
+    edges |= {tuple(sorted((i, (13 * i + 5) % n))) for i in range(0, n, 6)}
+    formats.dump_json(
+        {"nodes": labels, "edges": [[labels[a], labels[b]] for a, b in sorted(edges)]},
+        folder / "tree_graph.json",
+    )
+    masses = 10.0 ** (-3.0 * (np.arange(n) * 53 % n) / (n - 1))
+    formats.dump_json(
+        dict(zip(labels, (masses / masses.sum()).tolist())), folder / "tree_target.json"
     )
 
 DIGESTS = {
@@ -224,6 +249,13 @@ DIGESTS = {
         "trace.csv": "0ad9949c7bde592696c0d1d9610822aae37ea36ad3a929524029033342669363",
         "tv_series.csv": "7436811804a4fa06d7b3d9d5535503a36a73301ae3536ee89955675b20a44117",
     },
+    "mcmc-run-generated-tree120": {
+        "empirical.csv": "9c67f3aa1faaa7d3977f53bd80899e407875df22e2cfeda9127fbd6f027683bd",
+        "kernel.csv": "83a1a7ab87a290d9e9b4a7893d5db55bc5e2f5d0192c92d34ffb08eec148823a",
+        "summary.json": "960278e218e66be2f1f17c27a5210610bc187be10c455119e0bf77e4cd15b446",
+        "trace.csv": "07e8033d92023bbbffd3d0710d0e835cd7fdf196d0a3c3c36c90ae014d97732d",
+        "tv_series.csv": "c425e832c1f5a7dcd110327fa9f5a4f2ff6bda3d42679414d0cc22e75c7dd038",
+    },
     "mcmc-run-path5": {
         "empirical.csv": "bdb003c0bdc6f2264323eeccdd5551985b1963483a3a2fe98fa0b8152a819cbe",
         "kernel.csv": "80620bbe5e263a3049567074e1909a2ac88a2a5a9bd3c2db34054164da3705d2",
@@ -247,6 +279,7 @@ def artifact_digests(name: str, tmp_path: Path) -> dict[str, str]:
     inputs.mkdir()
     write_generated_game(inputs)
     write_generated_ring(inputs)
+    write_generated_tree(inputs)
     argv = [arg.replace("{in}", str(inputs)) for arg in RUNS[name]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

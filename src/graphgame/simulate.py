@@ -152,12 +152,15 @@ def _advance(
 ) -> int:
     """Take `count` table transitions from `node`, one uniform each, storing
     the states at out[offset:]; returns the last state. A small table walks
-    whole symbols of m transitions; the rest bisect one by one."""
+    whole symbols of m transitions, a table with states that mostly hold
+    skips their holds, and the rest bisect one by one."""
     walk = _walk_for(table, count)
     if walk is not None:
         done = count - count % walk.m
         node = walk.run(node, stream, done, out, offset)
         offset, count = offset + done, count - done
+    elif _holds_for(table, count):
+        return _skip(table, node, stream, count, out, offset)
     cum, succ = table.cum, table.succ
     end = offset + count
     while offset < end:
@@ -168,6 +171,75 @@ def _advance(
             node = succ[node][bisect_right(cum[node], u)]
             append(node)
         out[offset : offset + size] = path
+        offset += size
+    return node
+
+
+_HOLD_RUN = 32  # expected run of holds from which a state skips its holds
+
+
+def _holds_for(table: "TransitionTable", count: int) -> list | None:
+    """The table's hold intervals, None for a run shorter than
+    max(_HOLD_RUN, n) transitions. Read once: per state, (a, b, width) if its
+    own entry spans [a, b) of its row and its expected run of holds,
+    1 / (1 - (b - a)), reaches _HOLD_RUN, width being twice that run (at
+    most _BLOCK), else None; empty when no state qualifies."""
+    if count < max(_HOLD_RUN, len(table.cum)):
+        return None
+    if table._holds is None:
+        holds: list = [None] * len(table.cum)
+        for s, (row, nxt) in enumerate(zip(table.cum, table.succ)):
+            if row is not None and s in nxt:
+                j = nxt.index(s)
+                a, b = row[j - 1] if j else 0.0, row[j]
+                if _HOLD_RUN * (1.0 - (b - a)) <= 1.0:
+                    holds[s] = (a, b, int(2 / max(1.0 - (b - a), 2 / _BLOCK)))
+        table._holds = holds if any(holds) else []
+    return table._holds
+
+
+def _skip(
+    table: "TransitionTable",
+    node: int,
+    stream: UniformStream,
+    count: int,
+    out: np.ndarray,
+    offset: int,
+) -> int:
+    """`_advance` over the table's hold intervals. bisect_right(cum[s], u)
+    is the index of s's own entry exactly when a <= u < b: a numpy scan in
+    doubling windows finds the block's next uniform outside [a, b), one
+    slice assignment writes the holds before it, and it bisects."""
+    cum, succ, holds = table.cum, table.succ, table._holds
+    end = offset + count
+    while offset < end:
+        size = min(_BLOCK, end - offset)
+        block = stream.take_array(size)
+        path: list[int] = []
+        start, i = offset, 0  # path holds out[start:offset + i]
+        while i < size:
+            chunk = 64  # uniforms to bisect until a state with an interval
+            if holds[node] is not None:
+                a, b, width = holds[node]
+                j = i
+                while j < size:
+                    window = block[j : j + width]
+                    moved = (window < a) | (window >= b)
+                    k = int(moved.argmax())
+                    if moved[k]:
+                        break
+                    j, width = j + width, 2 * width
+                j = min(j + k, size)
+                out[start : offset + i] = path
+                out[offset + i : offset + j] = node
+                path, start, i, chunk = [], offset + j, j, 1  # then bisect the one outside
+            for u in block[i : i + chunk].tolist():
+                node = succ[node][bisect_right(cum[node], u)]
+                path.append(node)
+                if holds[node] is not None:
+                    break
+            i = start - offset + len(path)
+        out[start : offset + size] = path
         offset += size
     return node
 
@@ -264,12 +336,13 @@ class TransitionTable:
     lands in it. States without a row (None) are not in the table.
     """
 
-    __slots__ = ("cum", "succ", "_walk")
+    __slots__ = ("cum", "succ", "_walk", "_holds")
 
     def __init__(self, cum: list, succ: list):
         self.cum = cum
         self.succ = succ
         self._walk: _Walk | None = None
+        self._holds: list | None = None
 
     @classmethod
     def from_levels(

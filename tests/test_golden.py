@@ -11,11 +11,12 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from graphgame import formats
+from graphgame import formats, simulate
 from graphgame.cli import main
 from graphgame.games import CoalitionStructure, GGame
 from graphgame.graphs import complete_graph
@@ -293,6 +294,16 @@ def artifact_digests(name: str, tmp_path: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_artifacts_match_golden_digests(name, tmp_path):
     assert artifact_digests(name, tmp_path) == DIGESTS[name]
+
+
+def test_near_frozen_golden_skips_holds(tmp_path):
+    """The tree120 chain holds on most steps, so its run goes through the
+    hold-skipping loop; the digests above were taken from the bisection
+    loop alone."""
+    with mock.patch.object(simulate, "_skip", wraps=simulate._skip) as skip:
+        digests = artifact_digests("mcmc-run-generated-tree120", tmp_path)
+    assert skip.call_count > 0
+    assert digests == DIGESTS["mcmc-run-generated-tree120"]
 
 
 def test_mixed_solves_pursuit_game(tmp_path):

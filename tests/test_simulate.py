@@ -172,6 +172,11 @@ class OnCuts:
         return self.rng.choice(self.pool, size)
 
 
+def bisect_only():
+    """Shut the walk and skip gates, so `_advance` bisects every transition."""
+    return mock.patch.multiple(simulate, _WALK_ENTRIES=0, _HOLD_RUN=float("inf"))
+
+
 def walk_from(table, start, count, seed, buffered, on_cuts=False):
     """The path and last state of `count` transitions from `start`, after
     `buffered` next() draws, and the stream's next uniform after the run."""
@@ -203,7 +208,7 @@ class TestCompiledWalk:
         n = len(table.cum)
         cuts = {v for row in table.cum if row is not None for v in row}
         for start in (s for s in range(n) if s in table):
-            with mock.patch.object(simulate, "_WALK_ENTRIES", 0):  # gates every table out
+            with bisect_only():
                 reference = walk_from(table, start, count, seed, buffered, on_cuts)
             got = walk_from(table, start, count, seed, buffered, on_cuts)
             assert got[0].tobytes() == reference[0].tobytes()
@@ -248,6 +253,137 @@ class TestCompiledWalk:
                 size = len(table.cum) * table._walk.cuts.size ** table._walk.m
                 assert size <= min(_WALK_ENTRIES, counts[level] // 8)
         assert walks > 0
+
+
+@st.composite
+def holding_tables(draw):
+    """A table over 2-40 states, most of which mostly hold: a kernel level
+    of a target with masses from about 1e-6 to 1, a smoothed level of such
+    a target with zero masses (its rows outside the chain's states are
+    empty), the dense rows of such a kernel as `run_homogeneous` tabulates
+    them, the identity, or weight rows with their zeros kept, some of whose
+    only nonzero entry is the diagonal and some heavy on it."""
+    kind = draw(st.sampled_from(["kernel", "smoothed", "dense", "identity", "diagonal"]))
+    n = draw(st.integers(2, 40))
+    labels = [f"s{i}" for i in range(n)]
+    g = random_connected_graph(random.Random(draw(st.integers(0, 2**16))), labels, 0.1)
+    scale = st.floats(0.0, 6.0)
+    masses = 10.0 ** -np.array(draw(st.lists(scale, min_size=n, max_size=n)))
+    if kind == "kernel":
+        (table,) = TransitionTable.from_levels(
+            Realization(Distribution(masses / masses.sum()), g).level_at(0), range(n), n
+        )
+        return table
+    if kind == "smoothed":
+        masses[draw(st.lists(st.integers(0, n - 1), max_size=n - 2))] = 0.0
+        realization = Realization(Distribution(masses / masses.sum()), g, Schedule.power_gap())
+        schedule = realization.schedule
+        t = 0 if schedule is None else schedule.time_at(draw(st.integers(1, 6)))
+        (table,) = TransitionTable.from_levels(realization.level_at(t), realization.nodes, n)
+        return table
+    if kind == "dense":
+        kernel = build_kernel(Distribution(masses / masses.sum()), g)
+        return TransitionTable(*simulate._table_rows(
+            np.full(n, n), kernel.matrix.ravel(), np.tile(np.arange(n), n)
+        ))
+    if kind == "identity":
+        return TransitionTable([[1.0]] * n, [[s] for s in range(n)])
+    rows = []
+    for s in range(n):
+        weights = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), float)
+        weights[s] = draw(st.sampled_from([0, 1, 100, 10**4, -1]))
+        if weights[s] < 0 or not weights.any():  # the diagonal alone
+            weights[:] = np.arange(n) == s
+        rows.append(cumulative_row(weights / weights.sum()))
+    return TransitionTable(rows, [list(range(n))] * n)
+
+
+class TestHoldSkip:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        table=holding_tables(),
+        count=st.one_of(
+            st.sampled_from([0, 1, 31, 32, 33, 40, 4097, _BLOCK - 1, _BLOCK + 5, 2 * _BLOCK + 3]),
+            st.integers(0, 5000),
+        ),
+        starts=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.integers(0, _SINGLES + 3),
+        on_cuts=st.booleans(),
+    )
+    def test_skip_replays_bisect_loop(self, table, count, starts, seed, buffered, on_cuts):
+        """The stream may draw exactly each hold interval's ends a and b, the
+        floats just below them, 0.0 and 1 - 2**-53: an interval off by one
+        float would show there."""
+        states = [s for s in range(len(table.cum)) if s in table]
+        for start in (states[i % len(states)] for i in starts):
+            with bisect_only():
+                reference = walk_from(table, start, count, seed, buffered, on_cuts)
+            with mock.patch.object(simulate, "_WALK_ENTRIES", 0):
+                got = walk_from(table, start, count, seed, buffered, on_cuts)
+            assert got[0].tobytes() == reference[0].tobytes()
+            assert got[1:] == reference[1:]
+        if count >= max(simulate._HOLD_RUN, len(table.cum)):
+            assert table._holds is not None
+        else:
+            assert table._holds is None
+
+    def test_chain_run_shape_skips_holds(self):
+        """A Dirichlet target on a 160-state random tree plus 80 chords, the
+        shape of the benchmark's connected chains, mostly holds: its table
+        reads hold intervals and the run skips them, with the bisection's
+        path."""
+        rng = np.random.default_rng(160)
+        labels = [f"v{i}" for i in range(160)]
+        edges = {(int(rng.integers(0, i)), i) for i in range(1, 160)}
+        while len(edges) < 239:
+            edges.add(tuple(sorted(rng.choice(160, size=2, replace=False).tolist())))
+        g = Graph(labels, [(labels[a], labels[b]) for a, b in edges])
+        target = Distribution(rng.dirichlet(np.ones(160)))
+        paths = []
+        for gate in (bisect_only(), mock.patch.object(simulate, "_skip", wraps=simulate._skip)):
+            realization = Realization(target, g)
+            out = np.empty(20_000, dtype=np.int64)
+            with gate as patched:
+                realization.run(7, out.size, make_stream(3), out)
+            paths.append(out.tobytes())
+        assert patched.call_count == 1
+        assert sum(h is not None for h in realization._tables[0]._holds) > 80
+        assert paths[0] == paths[1]
+
+    def test_short_runs_on_large_tables_read_no_holds(self):
+        """A 2000-step smoothed run on a 4000-node ring has no segment as
+        long as its 4000 states, so no table reads its hold intervals."""
+        n = 4000
+        labels = [f"v{i}" for i in range(n)]
+        ring = Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+        masses = np.zeros(n)
+        masses[[0, 1000, 2000]] = 1 / 3
+        realization = Realization(Distribution(masses), ring, parse_schedule("powergap:1:3", n))
+        holds, holds_for = [], simulate._holds_for
+
+        def spy(table, count):
+            holds.append(holds_for(table, count))
+            return holds[-1]
+
+        with mock.patch.object(simulate, "_holds_for", spy):
+            realization.run(0, 2000, make_stream(4), np.empty(2000, dtype=np.int64))
+        assert holds and all(h is None for h in holds)
+
+    @pytest.mark.parametrize(
+        "target, graph",
+        [
+            (dist(0.5, 0.5), path_graph(["heads", "tails"])),
+            (dist(*[0.2] * 5), path_graph(["a", "b", "c", "d", "e"])),
+        ],
+        ids=["pennies", "path5"],
+    )
+    def test_walk_tables_read_no_holds(self, target, graph):
+        """A table that compiles a walk never reads its hold intervals."""
+        realization = Realization(target, graph)
+        realization.run(0, 150_000, make_stream(5), np.empty(150_000, dtype=np.int64))
+        (table,) = realization._tables.values()
+        assert table._walk is not None and table._holds is None
 
 
 class TestHomogeneous:

@@ -61,11 +61,11 @@ _SINGLES = 256  # uniforms buffered for next(); block requests draw exactly
 class UniformStream:
     """Float64 uniforms from one generator, drawn only as they are handed out.
 
-    `take(n)`, and `take_array(n)` as one float64 array, serve what `next()`
-    left buffered and draw exactly the rest; `next()` buffers `_SINGLES`
-    draws at a time. numpy yields the same values however draws are split
-    into blocks, so buffering never changes a value, and the generator runs
-    at most one small buffer ahead of the consumer.
+    `take_array(n)` serves what `next()` left buffered and draws exactly the
+    rest, as one float64 array; `next()` buffers `_SINGLES` draws at a time.
+    numpy yields the same values however draws are split into blocks, so
+    buffering never changes a value, and the generator runs at most one
+    small buffer ahead of the consumer.
     `next` is the `__next__` of a chain over the buffers, so a draw runs no
     Python frame. `_buffers` holds the numpy generator and the current-buffer
     cell, not the stream, so the stream is in no reference cycle."""
@@ -77,9 +77,6 @@ class UniformStream:
             _buffers(rng, self._current)
         ).__next__
 
-    def take(self, n: int) -> list[float]:
-        return self.take_array(n).tolist()
-
     def take_array(self, n: int) -> np.ndarray:
         head = list(islice(self._current[0], max(n, 0)))
         rest = self._rng.random(max(n - len(head), 0))
@@ -88,7 +85,7 @@ class UniformStream:
 
 def _buffers(rng: np.random.Generator, current: list):
     """Iterators over successive `_SINGLES`-draw buffers; current[0] is the
-    one being served, which `take` drains first."""
+    one being served, which `take_array` drains first."""
     while True:
         current[0] = iter(rng.random(_SINGLES).tolist())
         yield current[0]
@@ -152,65 +149,18 @@ def _advance(
 ) -> int:
     """Take `count` table transitions from `node`, one uniform each, storing
     the states at out[offset:]; returns the last state. A small table walks
-    whole symbols of m transitions, a table with states that mostly hold
-    skips their holds, and the rest bisect one by one."""
+    whole symbols of m transitions, and the rest bisect one by one, except
+    that a state with a hold interval [a, b) skips its holds:
+    bisect_right(cum[s], u) is the index of s's own entry exactly when
+    a <= u < b, so a numpy scan in doubling windows finds the block's next
+    uniform outside [a, b), one slice assignment writes the holds before it,
+    and it bisects."""
     walk = _walk_for(table, count)
     if walk is not None:
         done = count - count % walk.m
         node = walk.run(node, stream, done, out, offset)
         offset, count = offset + done, count - done
-    elif _holds_for(table, count):
-        return _skip(table, node, stream, count, out, offset)
-    cum, succ = table.cum, table.succ
-    end = offset + count
-    while offset < end:
-        size = min(_BLOCK, end - offset)
-        path: list[int] = []
-        append = path.append
-        for u in stream.take(size):
-            node = succ[node][bisect_right(cum[node], u)]
-            append(node)
-        out[offset : offset + size] = path
-        offset += size
-    return node
-
-
-_HOLD_RUN = 32  # expected run of holds from which a state skips its holds
-
-
-def _holds_for(table: "TransitionTable", count: int) -> list | None:
-    """The table's hold intervals, None for a run shorter than
-    max(_HOLD_RUN, n) transitions. Read once: per state, (a, b, width) if its
-    own entry spans [a, b) of its row and its expected run of holds,
-    1 / (1 - (b - a)), reaches _HOLD_RUN, width being twice that run (at
-    most _BLOCK), else None; empty when no state qualifies."""
-    if count < max(_HOLD_RUN, len(table.cum)):
-        return None
-    if table._holds is None:
-        holds: list = [None] * len(table.cum)
-        for s, (row, nxt) in enumerate(zip(table.cum, table.succ)):
-            if row is not None and s in nxt:
-                j = nxt.index(s)
-                a, b = row[j - 1] if j else 0.0, row[j]
-                if _HOLD_RUN * (1.0 - (b - a)) <= 1.0:
-                    holds[s] = (a, b, int(2 / max(1.0 - (b - a), 2 / _BLOCK)))
-        table._holds = holds if any(holds) else []
-    return table._holds
-
-
-def _skip(
-    table: "TransitionTable",
-    node: int,
-    stream: UniformStream,
-    count: int,
-    out: np.ndarray,
-    offset: int,
-) -> int:
-    """`_advance` over the table's hold intervals. bisect_right(cum[s], u)
-    is the index of s's own entry exactly when a <= u < b: a numpy scan in
-    doubling windows finds the block's next uniform outside [a, b), one
-    slice assignment writes the holds before it, and it bisects."""
-    cum, succ, holds = table.cum, table.succ, table._holds
+    cum, succ, holds = table.cum, table.succ, _holds_for(table, count)
     end = offset + count
     while offset < end:
         size = min(_BLOCK, end - offset)
@@ -218,8 +168,8 @@ def _skip(
         path: list[int] = []
         start, i = offset, 0  # path holds out[start:offset + i]
         while i < size:
-            chunk = 64  # uniforms to bisect until a state with an interval
-            if holds[node] is not None:
+            chunk = 64 if holds else size  # to bisect until a state with an interval
+            if node in holds:
                 a, b, width = holds[node]
                 j = i
                 while j < size:
@@ -236,12 +186,34 @@ def _skip(
             for u in block[i : i + chunk].tolist():
                 node = succ[node][bisect_right(cum[node], u)]
                 path.append(node)
-                if holds[node] is not None:
+                if node in holds:
                     break
             i = start - offset + len(path)
         out[start : offset + size] = path
         offset += size
     return node
+
+
+_HOLD_RUN = 32  # expected run of holds from which a state skips its holds
+
+
+def _holds_for(table: "TransitionTable", count: int) -> dict:
+    """The table's hold intervals, empty for a run shorter than
+    max(_HOLD_RUN, n) transitions. Read once: a state maps to (a, b, width)
+    if its own entry spans [a, b) of its row and its expected run of holds,
+    1 / (1 - (b - a)), reaches _HOLD_RUN, width being twice that run (at
+    most _BLOCK)."""
+    if count < max(_HOLD_RUN, len(table.cum)):
+        return {}
+    if table._holds is None:
+        table._holds = {}
+        for s, (row, nxt) in enumerate(zip(table.cum, table.succ)):
+            if row is not None and s in nxt:
+                j = nxt.index(s)
+                a, b = row[j - 1] if j else 0.0, row[j]
+                if _HOLD_RUN * (1.0 - (b - a)) <= 1.0:
+                    table._holds[s] = (a, b, int(2 / max(1.0 - (b - a), 2 / _BLOCK)))
+    return table._holds
 
 
 _WALK_ENTRIES = 1 << 12  # most (state, symbol) entries one walk tabulates
@@ -342,7 +314,7 @@ class TransitionTable:
         self.cum = cum
         self.succ = succ
         self._walk: _Walk | None = None
-        self._holds: list | None = None
+        self._holds: dict | None = None
 
     @classmethod
     def from_levels(

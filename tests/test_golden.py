@@ -297,12 +297,18 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 
 
 def test_near_frozen_golden_skips_holds(tmp_path):
-    """The tree120 chain holds on most steps, so its run goes through the
-    hold-skipping loop; the digests above were taken from the bisection
-    loop alone."""
-    with mock.patch.object(simulate, "_skip", wraps=simulate._skip) as skip:
+    """The tree120 chain holds on most steps, so its run reads hold
+    intervals and skips them; the digests above were taken from the
+    bisection loop alone."""
+    holds, holds_for = [], simulate._holds_for
+
+    def spy(table, count):
+        holds.append(holds_for(table, count))
+        return holds[-1]
+
+    with mock.patch.object(simulate, "_holds_for", spy):
         digests = artifact_digests("mcmc-run-generated-tree120", tmp_path)
-    assert skip.call_count > 0
+    assert any(holds)
     assert digests == DIGESTS["mcmc-run-generated-tree120"]
 
 

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import count, product
 from unittest import mock
@@ -62,13 +63,12 @@ def dist(*masses):
 TWO_STATE_KERNEL = build_kernel(dist(2 / 3, 1 / 3), path_graph(["a", "b"]))
 
 
-# a stream request: None is one next(), an integer k is take(k), and
-# ("array", k) is take_array(k)
-BLOCK_SIZE = st.one_of(
+# a stream request: None is one next(), an integer k is take_array(k)
+STREAM_REQUEST = st.one_of(
+    st.none(),
     st.sampled_from([0, 1, _SINGLES - 1, _SINGLES, _SINGLES + 1, (1 << 16) + 1, 70_001]),
     st.integers(0, 3 * _SINGLES),
 )
-STREAM_REQUEST = st.one_of(st.none(), BLOCK_SIZE, st.tuples(st.just("array"), BLOCK_SIZE))
 
 
 class TestUniformStream:
@@ -81,14 +81,10 @@ class TestUniformStream:
         for k in requests:
             if k is None:
                 got.append(stream.next())
-            elif isinstance(k, tuple):
-                block = stream.take_array(k[1])
-                assert block.dtype == np.float64 and block.shape == (k[1],)
-                got.extend(block.tolist())
             else:
-                block = stream.take(k)
-                assert len(block) == k
-                got.extend(block)
+                block = stream.take_array(k)
+                assert block.dtype == np.float64 and block.shape == (k,)
+                got.extend(block.tolist())
         consumed = len(got)
         reference = np.random.default_rng(seed).random(consumed + _SINGLES + 1).tolist()
         assert got == reference[:consumed]
@@ -113,7 +109,6 @@ class TestUniformStream:
         rng = np.random.default_rng(5)
         stream = UniformStream(rng)
         first = stream.next()
-        assert stream.take(-3) == []
         assert stream.take_array(-3).size == 0
         assert [first, stream.next()] == np.random.default_rng(5).random(2).tolist()
 
@@ -172,14 +167,9 @@ class OnCuts:
         return self.rng.choice(self.pool, size)
 
 
-def bisect_only():
-    """Shut the walk and skip gates, so `_advance` bisects every transition."""
-    return mock.patch.multiple(simulate, _WALK_ENTRIES=0, _HOLD_RUN=float("inf"))
-
-
-def walk_from(table, start, count, seed, buffered, on_cuts=False):
-    """The path and last state of `count` transitions from `start`, after
-    `buffered` next() draws, and the stream's next uniform after the run."""
+def buffered_stream(table, seed, buffered, on_cuts):
+    """A seeded stream, drawing on the table's cuts if `on_cuts`, after
+    `buffered` next() draws."""
     if on_cuts:
         cuts = {v for row in table.cum if row is not None for v in row}
         stream = UniformStream(OnCuts(cuts, seed))
@@ -187,9 +177,26 @@ def walk_from(table, start, count, seed, buffered, on_cuts=False):
         stream = make_stream(seed)
     for _ in range(buffered):
         stream.next()
+    return stream
+
+
+def walk_from(table, start, count, seed, buffered, on_cuts=False):
+    """The path and last state of `count` transitions from `start`, after
+    `buffered` next() draws, and the stream's next uniform after the run."""
+    stream = buffered_stream(table, seed, buffered, on_cuts)
     out = np.empty(count, dtype=np.int64)
     last = _advance(table, start, stream, count, out, 0)
     return out, last, stream.next()
+
+
+def bisect_from(table, start, count, seed, buffered, on_cuts=False):
+    """`walk_from` by the table's definition: one bisection per uniform."""
+    stream = buffered_stream(table, seed, buffered, on_cuts)
+    node, path = start, []
+    for u in stream.take_array(count).tolist():
+        node = table.succ[node][bisect_right(table.cum[node], u)]
+        path.append(node)
+    return np.array(path, dtype=np.int64), node, stream.next()
 
 
 class TestCompiledWalk:
@@ -208,8 +215,7 @@ class TestCompiledWalk:
         n = len(table.cum)
         cuts = {v for row in table.cum if row is not None for v in row}
         for start in (s for s in range(n) if s in table):
-            with bisect_only():
-                reference = walk_from(table, start, count, seed, buffered, on_cuts)
+            reference = bisect_from(table, start, count, seed, buffered, on_cuts)
             got = walk_from(table, start, count, seed, buffered, on_cuts)
             assert got[0].tobytes() == reference[0].tobytes()
             assert got[1:] == reference[1:]
@@ -317,8 +323,7 @@ class TestHoldSkip:
         float would show there."""
         states = [s for s in range(len(table.cum)) if s in table]
         for start in (states[i % len(states)] for i in starts):
-            with bisect_only():
-                reference = walk_from(table, start, count, seed, buffered, on_cuts)
+            reference = bisect_from(table, start, count, seed, buffered, on_cuts)
             with mock.patch.object(simulate, "_WALK_ENTRIES", 0):
                 got = walk_from(table, start, count, seed, buffered, on_cuts)
             assert got[0].tobytes() == reference[0].tobytes()
@@ -331,7 +336,7 @@ class TestHoldSkip:
     def test_chain_run_shape_skips_holds(self):
         """A Dirichlet target on a 160-state random tree plus 80 chords, the
         shape of the benchmark's connected chains, mostly holds: its table
-        reads hold intervals and the run skips them, with the bisection's
+        reads hold intervals and the run skips them, with the bisections'
         path."""
         rng = np.random.default_rng(160)
         labels = [f"v{i}" for i in range(160)]
@@ -340,16 +345,13 @@ class TestHoldSkip:
             edges.add(tuple(sorted(rng.choice(160, size=2, replace=False).tolist())))
         g = Graph(labels, [(labels[a], labels[b]) for a, b in edges])
         target = Distribution(rng.dirichlet(np.ones(160)))
-        paths = []
-        for gate in (bisect_only(), mock.patch.object(simulate, "_skip", wraps=simulate._skip)):
-            realization = Realization(target, g)
-            out = np.empty(20_000, dtype=np.int64)
-            with gate as patched:
-                realization.run(7, out.size, make_stream(3), out)
-            paths.append(out.tobytes())
-        assert patched.call_count == 1
-        assert sum(h is not None for h in realization._tables[0]._holds) > 80
-        assert paths[0] == paths[1]
+        realization = Realization(target, g)
+        out = np.empty(20_000, dtype=np.int64)
+        realization.run(7, out.size, make_stream(3), out)
+        table = realization._tables[0]
+        assert len(table._holds) > 80
+        reference = bisect_from(table, 7, out.size - 1, 3, 0)
+        assert out[0] == 7 and out[1:].tobytes() == reference[0].tobytes()
 
     def test_short_runs_on_large_tables_read_no_holds(self):
         """A 2000-step smoothed run on a 4000-node ring has no segment as
@@ -368,7 +370,8 @@ class TestHoldSkip:
 
         with mock.patch.object(simulate, "_holds_for", spy):
             realization.run(0, 2000, make_stream(4), np.empty(2000, dtype=np.int64))
-        assert holds and all(h is None for h in holds)
+        assert holds and all(h == {} for h in holds)
+        assert all(table._holds is None for table in realization._tables.values())
 
     @pytest.mark.parametrize(
         "target, graph",

@@ -218,10 +218,6 @@ def strong_product(factors: Sequence[Graph]) -> Graph:
     return Graph(labels, [(labels[i], labels[j]) for i, j in upper])
 
 
-def split_label(label: str) -> tuple[str, ...]:
-    return tuple(label.split(TUPLE_SEP))
-
-
 def factorize(
     g: Graph, axis_spec: Sequence[Sequence[str]]
 ) -> Decomposition | None:
@@ -238,24 +234,14 @@ def factorize(
     axes = [tuple(axis) for axis in axis_spec]
     if not axes or any(not axis for axis in axes):
         raise GraphError("axis spec must contain nonempty axes")
-    members = [set(axis) for axis in axes]
-    if any(len(m) != len(axis) for m, axis in zip(members, axes)):
+    if any(len(set(axis)) != len(axis) for axis in axes):
         raise GraphError("axis labels must be unique")
-    expected = math.prod(len(axis) for axis in axes)
-    if g.n != expected:
+    if any(TUPLE_SEP in label for axis in axes for label in axis):
+        raise GraphError(f"axis labels must not contain the tuple separator {TUPLE_SEP!r}")
+    # the joint labels are then distinct, so g has them all (g.index raises
+    # for a missing one) exactly when it has no other node
+    if g.n != math.prod(len(axis) for axis in axes):
         raise GraphError("joint node set is not the full product of the axes")
-    seen: set[tuple[str, ...]] = set()
-    for label in g.labels:
-        parts = split_label(label)
-        if len(parts) != len(axes):
-            raise GraphError(f"node {label!r} is not a well-formed tuple")
-        for h, part in enumerate(parts):
-            if part not in members[h]:
-                raise GraphError(f"node {label!r} has unknown coordinate {part!r}")
-        seen.add(parts)
-    if len(seen) != expected:
-        raise GraphError("joint node set is not the full product of the axes")
-
     position = np.argsort([g.index(label) for label in joint_labels(axes)])
     # per axis, the (E, 2) coordinates of both ends of each edge of g
     coords = np.unravel_index(position[g.edges], [len(axis) for axis in axes])

@@ -148,23 +148,23 @@ def _advance(
     offset: int,
 ) -> int:
     """Take `count` table transitions from `node`, one uniform each, storing
-    the states at out[offset:]; returns the last state. A small table walks
-    whole symbols of m transitions, and the rest bisect one by one, except
-    that a state with a hold interval [a, b) skips its holds:
-    bisect_right(cum[s], u) is the index of s's own entry exactly when
-    a <= u < b, so a numpy scan in doubling windows finds the block's next
-    uniform outside [a, b), one slice assignment writes the holds before it,
-    and it bisects."""
+    the states at out[offset:]; returns the last state. The run draws blocks
+    of `_BLOCK` uniforms and either walks them, on a small table, or bisects
+    them one by one, except that a state with a hold interval [a, b) skips
+    its holds: bisect_right(cum[s], u) is the index of s's own entry exactly
+    when a <= u < b, so a numpy scan in doubling windows finds the block's
+    next uniform outside [a, b), one slice assignment writes the holds
+    before it, and it bisects."""
     walk = _walk_for(table, count)
-    if walk is not None:
-        done = count - count % walk.m
-        node = walk.run(node, stream, done, out, offset)
-        offset, count = offset + done, count - done
-    cum, succ, holds = table.cum, table.succ, _holds_for(table, count)
+    cum, succ, holds = table.cum, table.succ, _holds_for(table, count) if walk is None else {}
     end = offset + count
     while offset < end:
         size = min(_BLOCK, end - offset)
         block = stream.take_array(size)
+        if walk is not None:
+            node = walk.run(node, block, out, offset)
+            offset += size
+            continue
         path: list[int] = []
         start, i = offset, 0  # path holds out[start:offset + i]
         while i < size:
@@ -279,25 +279,22 @@ class _Walk:
         for row in self.rows:
             row.clear()
 
-    def run(
-        self, node: int, stream: UniformStream, count: int, out: np.ndarray, offset: int
-    ) -> int:
-        """`_advance` for a multiple of m transitions: the rows walk the
-        symbols in C, and one gather writes each block's states."""
-        m, k = self.m, self.cuts.size
-        span, end = k**m, offset + count
-        while offset < end:
-            size = min(_BLOCK - _BLOCK % m, end - offset)
-            classes = np.searchsorted(self.cuts, stream.take_array(size), "right").reshape(-1, m)
-            symbols = classes[:, 0]
-            for j in range(1, m):
-                symbols = symbols * k + classes[:, j]
-            walked = accumulate(symbols.tolist(), getitem, initial=self.rows[node])
-            starts = np.fromiter(map(itemgetter(span), walked), np.intp, symbols.size + 1)
-            node = int(starts[-1]) // span
-            out[offset : offset + size] = self.states[starts[:-1] + symbols].ravel()
-            offset += size
-        return node
+    def run(self, node: int, uniforms: np.ndarray, out: np.ndarray, offset: int) -> int:
+        """`_advance` for one block: the rows walk its symbols in C, one
+        gather writes its states, and it returns the last. A partial last
+        symbol is padded with class 0, which leaves its first r states as
+        they are: they depend only on its first r classes, its leading
+        digits."""
+        m, k, size = self.m, self.cuts.size, uniforms.size
+        classes = np.searchsorted(self.cuts, uniforms, "right")
+        symbols = np.zeros(-(-size // m), dtype=np.intp)
+        for j in range(m):
+            column = classes[j::m]
+            symbols[: column.size] += column * k ** (m - 1 - j)
+        walked = accumulate(symbols.tolist(), getitem, initial=self.rows[node])
+        starts = np.fromiter(map(itemgetter(k**m), walked), np.intp, symbols.size + 1)
+        out[offset : offset + size] = self.states[starts[:-1] + symbols].ravel()[:size]
+        return int(out[offset + size - 1])
 
 
 class TransitionTable:

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -383,6 +384,67 @@ class TestStrongProduct:
             strong_product([])
 
 
+def split_factorize(g: Graph, axes):
+    """`factorize` by splitting every node label: each must split into one
+    known coordinate per axis, and the tuples must cover the product of the
+    axes, or GraphError. Factor h is then g's edges on the axis-h line
+    through the axes' first labels, and g is a product iff the factors'
+    strong product has g's edges: the factors, or None."""
+    axes = [tuple(axis) for axis in axes]
+    if not axes or any(not axis or len(set(axis)) != len(axis) for axis in axes):
+        raise GraphError("bad axes")
+    seen = set()
+    for label in g.labels:
+        parts = tuple(label.split(TUPLE_SEP))
+        if len(parts) != len(axes) or any(p not in axis for p, axis in zip(parts, axes)):
+            raise GraphError(f"bad node {label!r}")
+        seen.add(parts)
+    if len(seen) != math.prod(len(axis) for axis in axes):
+        raise GraphError("not the full product")
+    edges = edge_labels(g)
+    factors = []
+    for h, axis in enumerate(axes):
+        line = {TUPLE_SEP.join(x if i == h else a[0] for i, a in enumerate(axes)): x for x in axis}
+        on_line = [tuple(line[v] for v in e) for e in edges if e <= line.keys()]
+        factors.append(Graph(axis, on_line))
+    return tuple(factors) if edge_labels(strong_product(factors)) == edges else None
+
+
+LABEL_POOL = ["a", "b", "c", "a|b", "b|c", "x", ""]
+
+
+@st.composite
+def axes_and_graphs(draw):
+    """Axes over `LABEL_POOL`, whose labels may repeat or hold the tuple
+    separator, and a graph on their joint labels with some missing and some
+    foreign nodes or not: its edges are those of a strong product of random
+    factors among the nodes present, with one node pair toggled or not."""
+    with_sep = draw(st.booleans())
+    pool = [v for v in LABEL_POOL if with_sep or TUPLE_SEP not in v]
+    labels = st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=draw(st.booleans()))
+    axes = draw(st.lists(labels, min_size=1, max_size=3))
+    adjacent = []  # per axis, its factor's edges as label pairs
+    for axis in axes:
+        pairs = list(combinations(dict.fromkeys(axis), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        adjacent.append({frozenset(p) for p, k in zip(pairs, keep) if k})
+    combos = list(product(*axes))
+    joint = list(dict.fromkeys(TUPLE_SEP.join(c) for c in combos))
+    dropped = draw(st.sets(st.sampled_from(joint), max_size=2)) if draw(st.booleans()) else ()
+    foreign = draw(st.lists(labels.map(TUPLE_SEP.join), max_size=2)) if draw(st.booleans()) else []
+    nodes = list(dict.fromkeys([v for v in joint if v not in dropped] + foreign))
+    edges = {
+        frozenset(TUPLE_SEP.join(c) for c in (x, y))
+        for x, y in combinations(combos, 2)
+        if all(u == v or frozenset((u, v)) in adj for u, v, adj in zip(x, y, adjacent))
+    }
+    edges = {e for e in edges if len(e) == 2 and e <= set(nodes)}
+    if len(nodes) >= 2 and draw(st.booleans()):
+        pair = st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True)
+        edges ^= {frozenset(draw(pair))}
+    return Graph(nodes, map(tuple, edges)), axes
+
+
 class TestFactorize:
     def test_k4_over_two_axes(self):
         k4 = strong_product([complete_graph(["0", "1"]), complete_graph(["x", "y"])])
@@ -472,6 +534,23 @@ class TestFactorize:
         g = Graph(["a|x", "a|y", "b|x", "junk"], [])
         with pytest.raises(GraphError):
             factorize(g, [["a", "b"], ["x", "y"]])
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(axes_and_graphs())
+    def test_node_checks_match_splitting_every_label(self, case):
+        """Checking the axis labels for the separator, the node count and
+        the lookups of the joint labels accepts exactly the graphs whose
+        every label splits into known coordinates covering the product, and
+        reads the same factors."""
+        g, axes = case
+        outcomes = []
+        for rule in (split_factorize, factorize):
+            try:
+                outcomes.append(rule(g, axes))
+            except GraphError:
+                outcomes.append(GraphError)
+        expected, got = outcomes
+        assert (got if got in (None, GraphError) else got.factors) == expected
 
 
 class TestGenerators:

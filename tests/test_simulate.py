@@ -225,6 +225,29 @@ class TestCompiledWalk:
             # n <= 5 states with at most 25 cuts always fit m = 2
             assert table._walk is not None and table._walk.m >= 2
 
+    @pytest.mark.parametrize("count", [4097, 32771, _BLOCK + 5, 70_001])
+    def test_walked_run_never_bisects(self, count):
+        """A run whose length m does not divide draws one block per `_BLOCK`
+        uniforms and walks all of them: its last symbol is padded, not
+        bisected."""
+        g = path_graph(["a", "b", "c"])
+        table = kernel_table(build_kernel(dist(0.5, 0.3, 0.2), g), g.labels)
+        walk = simulate._walk_for(table, count)  # compiling bisects the rows once
+        assert walk is not None and count % walk.m
+        reference = bisect_from(table, 1, count, 6, 5)
+        with (
+            mock.patch.object(simulate, "bisect_right", wraps=bisect_right) as bisections,
+            mock.patch.object(
+                UniformStream, "take_array", autospec=True, side_effect=UniformStream.take_array
+            ) as draws,
+        ):
+            got = walk_from(table, 1, count, 6, 5)
+        assert bisections.call_count == 0
+        assert draws.call_count == -(-count // _BLOCK)
+        assert table._walk is walk
+        assert got[0].tobytes() == reference[0].tobytes()
+        assert got[1:] == reference[1:]
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_small_kernels_compile(self, n):
         g = path_graph([f"s{i}" for i in range(n)])

@@ -226,6 +226,7 @@ def dump_kernel_csv(levels: KernelLevels, path: Path) -> None:
 # `t // 1000` and each row's `t % 1000` is an entry of `_LOW_DIGITS`.
 _TRACE_ROWS = 1000
 _LOW_DIGITS = [f"{i:03d}" for i in range(_TRACE_ROWS)]
+_RUN_ROWS = 12  # the least mean run, in rows, of a block joined run by run
 
 
 def _csv_cells(labels: Sequence[str]) -> list[str]:
@@ -249,9 +250,12 @@ def dump_trace_csv(trace: Trace, path: Path) -> None:
     The bytes are those a row-by-row csv.writer writes: the text after `t`
     is quoted once per state (a joint trace's states are joint indices,
     row-major over the component labels). Rows are written in blocks of
-    `_TRACE_ROWS`, each joined in C from three existing strings per row:
+    `_TRACE_ROWS`, joined in C from existing strings: a row is the head
     `t // 1000` in decimal (empty while t < 1000), `t % 1000` (zero-padded to
-    three digits once t >= 1000) and the state's tail. No Python code runs per row.
+    three digits once t >= 1000) and the state's tail. A block of R runs of
+    equal states with `_RUN_ROWS * R <= rows` joins three strings per run
+    instead: the head, the run's `t % 1000` strings joined by tail + head,
+    and the tail.
     """
     if trace.components is None:
         parts, names = (trace,), ["state"]
@@ -260,14 +264,29 @@ def dump_trace_csv(trace: Trace, path: Path) -> None:
         names = [f"state_{coalition_name(h)}" for h in range(len(parts))]
     cells = [_csv_cells(part.state_labels) for part in parts]
     tails = ["," + ",".join(combo) + "\n" for combo in product(*cells)]
+    states, length = trace.states, trace.length
+    # moved[t]: row t starts a run of equal states, and is not a block's first row
+    moved = np.zeros(-(-length // _TRACE_ROWS) * _TRACE_ROWS, bool)
+    moved[1:length] = states[1:] != states[:-1]
+    moved[::_TRACE_ROWS] = False
+    runs = (1 + np.count_nonzero(moved.reshape(-1, _TRACE_ROWS), axis=1)).tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["t"] + names)
-        for start in range(0, trace.length, _TRACE_ROWS):
-            block = trace.states[start : start + _TRACE_ROWS].tolist()
-            high = start // _TRACE_ROWS
-            pieces = [str(high) if high else ""] * (3 * len(block))
-            pieces[1::3] = _LOW_DIGITS[: len(block)] if high else map(str, range(len(block)))
-            pieces[2::3] = map(tails.__getitem__, block)
+        for high, count in enumerate(runs):
+            start = high * _TRACE_ROWS
+            rows = min(_TRACE_ROWS, length - start)
+            head = str(high) if high else ""
+            lows = _LOW_DIGITS if high else list(map(str, range(rows)))
+            if _RUN_ROWS * count > rows:
+                pieces = [head] * (3 * rows)
+                pieces[1::3] = lows if rows == _TRACE_ROWS else lows[:rows]
+                pieces[2::3] = map(tails.__getitem__, states[start : start + rows].tolist())
+            else:
+                edges = [0, *np.flatnonzero(moved[start : start + rows]).tolist(), rows]
+                pieces = []
+                for a, b in zip(edges, edges[1:]):
+                    tail = tails[states[start + a]]
+                    pieces += (head, (tail + head).join(lows[a:b]), tail)
             fh.write("".join(pieces))
 
 

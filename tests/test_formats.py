@@ -1,15 +1,17 @@
 import csv
 import json
+import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from graphgame.chains import build_kernel, kernel_levels, smooth
 from graphgame.formats import (
+    _RUN_ROWS,
     _TRACE_ROWS,
     FormatError,
     dump_empirical_csv,
@@ -216,6 +218,38 @@ def assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path):
     else:
         factor_states = [rng.integers(0, len(axis), size=length) for axis in labels]
         trace = _joint_trace(factor_states, labels, seed)
+    assert_trace_csv_bytes_match_row_writer(trace, tmp_path)
+
+
+# run lengths: short runs, and runs of about a block and up to two blocks,
+# which cross block edges
+RUN_LENGTHS = st.lists(
+    st.one_of(st.integers(1, 2 * _RUN_ROWS), st.integers(_TRACE_ROWS - 2, 2 * _TRACE_ROWS + 2)),
+    min_size=1,
+    max_size=24,
+)
+
+
+def state_count(spaces) -> int:
+    kind, labels = spaces
+    return len(labels) if kind is None else math.prod(map(len, labels))
+
+
+def runs_trace(spaces, lengths, seed) -> Trace:
+    """A trace whose runs of equal states have the given lengths; with one
+    state the runs merge into one."""
+    kind, labels = spaces
+    n = state_count(spaces)
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.integers(1, max(n, 2), size=len(lengths))) % n
+    states = np.repeat(values, lengths)
+    if kind is None:
+        return Trace(states, tuple(labels), seed, np.bincount(states, minlength=n))
+    dims = tuple(map(len, labels))
+    return _joint_trace(list(np.unravel_index(states, dims)), labels, seed)
+
+
+def assert_trace_csv_bytes_match_row_writer(trace, tmp_path):
     dump_trace_csv(trace, tmp_path / "fast.csv")
     row_writer_trace_csv(trace, tmp_path / "rows.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -272,6 +306,26 @@ class TestCsvFormats:
     @trace_property(max_examples=8, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_trace_csv_matches_row_writer_at_block_edges(self, length, spaces, seed, tmp_path):
         assert_trace_csv_matches_row_writer(spaces, length, seed, tmp_path)
+
+    @given(spaces=SPACES, lengths=RUN_LENGTHS, seed=st.integers(0, 2**32 - 1))
+    @example(spaces=(None, ["a"]), lengths=[_TRACE_ROWS + 1, 2 * _TRACE_ROWS], seed=0)
+    @example(spaces=(None, ["a", "b"]), lengths=[_TRACE_ROWS, _TRACE_ROWS, 7], seed=0)  # runs end at block edges
+    @trace_property(max_examples=100, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_trace_csv_matches_row_writer_on_runs(self, spaces, lengths, seed, tmp_path):
+        """Traces drawn as runs, which reach the writer's per-run blocks."""
+        assert_trace_csv_bytes_match_row_writer(runs_trace(spaces, lengths, seed), tmp_path)
+
+    # blocks of rows // _RUN_ROWS runs, the most joined run by run, and of one more:
+    # the first block, a full block and a last partial block
+    @pytest.mark.parametrize("extra", [0, 1])
+    @given(spaces=SPACES.filter(lambda spaces: state_count(spaces) > 1), seed=st.integers(0, 2**32 - 1))
+    @trace_property(max_examples=10)
+    def test_trace_csv_matches_row_writer_at_run_rule(self, extra, spaces, seed, tmp_path):
+        lengths = []
+        for rows in (_TRACE_ROWS, _TRACE_ROWS, 517):
+            runs = rows // _RUN_ROWS + extra
+            lengths += np.diff(np.linspace(0, rows, runs + 1).round().astype(int)).tolist()
+        assert_trace_csv_bytes_match_row_writer(runs_trace(spaces, lengths, seed), tmp_path)
 
     @given(
         kinds=st.lists(MASS_KIND, min_size=1, max_size=12),
